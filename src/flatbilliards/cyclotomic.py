@@ -22,8 +22,6 @@ import mpmath
 
 from . import _kernel
 
-Rational = Fraction
-
 _MIN_PREC = 64
 
 
@@ -141,11 +139,23 @@ class Interval:
     def width(self):
         return self.hi - self.lo
 
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]@{self.precision_bits}"
+
+
+# (conductor, precision) -> enclosures of cos(2*pi*j/n), j = 0 .. phi-1
+_COS_INTERVALS: dict[tuple[int, int], list] = {}
+
+
+def _cos_intervals(n: int, phi: int, prec: int) -> list:
+    """Enclosures of the real parts of the powers of zeta_n, computed
+    once per working precision; the caller has set iv.prec = prec."""
+    table = _COS_INTERVALS.get((n, prec))
+    if table is None:
+        iv = mpmath.iv
+        table = [None] + [iv.cos(iv.pi * (2 * j) / n) for j in range(1, phi)]
+        _COS_INTERVALS[(n, prec)] = table
+    return table
 
 
 def _eval_interval(n: int, num: tuple[int, ...], den: int, prec: int) -> Interval:
@@ -153,13 +163,14 @@ def _eval_interval(n: int, num: tuple[int, ...], den: int, prec: int) -> Interva
     old = iv.prec
     iv.prec = prec + 12
     try:
+        cosines = _cos_intervals(n, len(num), iv.prec)
         total = iv.mpf(0)
         for j, c in enumerate(num):
             if c:
                 if j == 0:
                     total += c
                 else:
-                    total += c * iv.cos(iv.pi * (2 * j) / n)
+                    total += c * cosines[j]
         total /= den
         lo_raw, hi_raw = total._mpi_
         return Interval(
@@ -361,9 +372,7 @@ class CyclotomicReal:
         a, b = self._aligned(other)
         ctx = _context(a.n)
         if ctx.phi == 1:
-            num = [a.num[0] * b.num[0] * (1 if a.n == 1 else 1)]
-            if a.n == 2:
-                num = [a.num[0] * b.num[0]]
+            num = [a.num[0] * b.num[0]]
             return CyclotomicReal(a.n, num, a.den * b.den, _trusted=True)
         rows = ctx.rows_upto(2 * ctx.phi - 2)
         num = _kernel.mul_reduced(list(a.num), list(b.num), rows, ctx.phi)
@@ -525,11 +534,19 @@ class CyclotomicReal:
 
 
 def _solve_rational_system(cols, nrows: int, target):
-    """Solve sum_j x_j*cols[j] = target over Q; None if inconsistent."""
+    """Solve sum_j x_j*cols[j] = target over Q; None if inconsistent.
+
+    Fraction-free Gauss-Jordan elimination: rows stay integer (the
+    targets are scaled to a common denominator) and are divided by
+    their content after each step, so no Fraction enters the loop.
+    """
     ncols = len(cols)
+    scale = 1
+    for t in target:
+        scale = scale * t.denominator // math.gcd(scale, t.denominator)
     # augmented matrix, rows = equations
-    mat = [[Fraction(cols[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-           for i in range(nrows)]
+    mat = [[cols[j][i] for j in range(ncols)]
+           + [int(target[i] * scale)] for i in range(nrows)]
     pivot_cols = []
     r = 0
     for c in range(ncols):
@@ -541,12 +558,15 @@ def _solve_rational_system(cols, nrows: int, target):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
+        prow = mat[r]
+        pv = prow[c]
         for i in range(nrows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+            row = mat[i]
+            f = row[c]
+            if i != r and f:
+                row = [pv * x - f * y for x, y in zip(row, prow)]
+                g = _gcd_many(row)
+                mat[i] = [x // g for x in row] if g > 1 else row
         pivot_cols.append(c)
         r += 1
         if r == nrows:
@@ -557,7 +577,7 @@ def _solve_rational_system(cols, nrows: int, target):
             return None
     sol = [Fraction(0)] * ncols
     for i, c in enumerate(pivot_cols):
-        sol[c] = mat[i][ncols]
+        sol[c] = Fraction(mat[i][ncols], mat[i][c] * scale)
     return sol
 
 

@@ -115,7 +115,6 @@ class Decomposition:
     cylinders: list
     chords: dict  # face -> list of _Chord
     cut_sides: set  # of (face, pos)
-    _piece_cyl: dict = field(default_factory=dict)
 
     def cylinder_count(self) -> int:
         return len(self.cylinders)
@@ -163,11 +162,12 @@ def _ray_exit(M: TranslationSurface, fi: int, x, u):
         denom = cross(u, d)
         if denom.is_zero:
             continue
+        inv = denom.inverse()
         w = vsub(side.start, x)
-        t = cross(w, d) / denom
+        t = cross(w, d) * inv
         if t.sign() <= 0:
             continue
-        s = cross(w, u) / denom
+        s = cross(w, u) * inv
         ss = s.sign()
         if ss < 0 or (s - 1).sign() > 0:
             continue
@@ -304,7 +304,7 @@ def cylinder_decomposition(
     for fi in range(len(M.faces)):
         pieces.extend(_slice_face(M, fi, chords_by_face[fi]))
 
-    cylinders, piece_cyl = _glue_pieces(M, u, pieces, cut_sides)
+    cylinders = _glue_pieces(M, u, pieces, cut_sides)
 
     dec = Decomposition(
         surface=M,
@@ -313,7 +313,6 @@ def cylinder_decomposition(
         cylinders=cylinders,
         chords=chords_by_face,
         cut_sides=cut_sides,
-        _piece_cyl=piece_cyl,
     )
     total = ZERO
     for c in cylinders:
@@ -487,7 +486,6 @@ def _glue_pieces(M: TranslationSurface, u, pieces: list, cut_sides: set):
         n_comp += 1
 
     cylinders = []
-    piece_cyl = {}
     for ci in range(n_comp):
         members = [i for i in range(len(pieces)) if comp[i] == ci]
         area2 = ZERO
@@ -537,10 +535,8 @@ def _glue_pieces(M: TranslationSurface, u, pieces: list, cut_sides: set):
             y_max=y_max,
             pieces=[(pieces[i], offsets[i]) for i in members],
         )
-        for i in members:
-            piece_cyl[i] = len(cylinders)
         cylinders.append(cyl)
-    return cylinders, piece_cyl
+    return cylinders
 
 
 # ---------------------------------------------------------------------------

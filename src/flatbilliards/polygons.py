@@ -15,8 +15,6 @@ from fractions import Fraction
 from . import planar
 from .cyclotomic import CyclotomicReal, cos_pi, embed, sin_pi
 
-Rational = Fraction
-
 
 class PolygonError(ValueError):
     """Invalid polygon or angle data."""
@@ -200,35 +198,23 @@ class Polygon:
 
     # -- canonical form ----------------------------------------------------------
 
-    def canonical_key(self, up_to_scale: bool = False):
+    def canonical_key(self):
         """Deduplication key: rotate so an edge has direction 0, pick the
         lexicographically smallest rotation of the edge list."""
-        if self._key is not None and not up_to_scale:
+        if self._key is not None:
             return self._key
         k = len(self.edges)
         candidates = []
         for i in range(k):
             base_dir = self.edges[i].direction.multiple
-            base_len = self.edges[i].length
             seq = []
             for j in range(k):
                 e = self.edges[(i + j) % k]
                 d = (e.direction.multiple - base_dir) % 2
-                if up_to_scale:
-                    seq.append((d, (e.length / base_len).key()))
-                else:
-                    seq.append((d, e.length.key()))
+                seq.append((d, e.length.key()))
             candidates.append(tuple(seq))
-        key = min(candidates)
-        if not up_to_scale:
-            self._key = key
-        return key
-
-    def scaled(self, factor: CyclotomicReal) -> "Polygon":
-        return Polygon(
-            [Edge(e.direction, e.length * factor) for e in self.edges],
-            validate=False,
-        )
+        self._key = min(candidates)
+        return self._key
 
     def __repr__(self):
         angle_str = ",".join(str(a.multiple) for a in self.angles())
@@ -305,9 +291,6 @@ class LinearMap:
         s = sin_pi(2 * self.param)
         return (x * c + y * s, x * s - y * c)
 
-    def is_identity(self) -> bool:
-        return self.kind == "rot" and self.param == 0
-
     def __str__(self):
         return f"{self.kind}({self.param})"
 
@@ -361,19 +344,6 @@ class DihedralGroup:
         if other.N % self.N != 0:
             return False
         return LinearMap.reflection(self.base_axis) in other
-
-
-# DihedralElement in the public API: a group element plus its index data.
-@dataclass(frozen=True)
-class DihedralElement:
-    kind: str
-    index: int
-    N: int
-
-    def to_linear(self, group: DihedralGroup) -> LinearMap:
-        if self.kind == "rotation":
-            return group.element(self.index % group.N)
-        return group.element(group.N + self.index % group.N)
 
 
 # ---------------------------------------------------------------------------

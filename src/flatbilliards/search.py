@@ -186,7 +186,7 @@ class _Search:
             (float(v[0]), float(v[1])) for v in verts
         )
         self.angles = [a.multiple for a in base_polygon.angles()]
-        self.M = unfold(base_polygon)
+        self.M = statuses.M
         # class of the corner at base vertex v inside the copy whose
         # orthogonal part is group element gi (face order matches the
         # group-element order)

@@ -219,10 +219,6 @@ class TranslationSurface:
     def singular_points(self) -> list[ConePoint]:
         return [c for c in self.cone_points() if c.is_singular]
 
-    def corner_coordinates(self, corner):
-        fi, p = corner
-        return self.faces[fi].vertices[p]
-
     # -- topology ----------------------------------------------------------
 
     def genus(self) -> dict:

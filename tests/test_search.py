@@ -136,6 +136,21 @@ def test_search_is_deterministic():
     assert a.rejected == b.rejected
 
 
+def test_search_unfolds_base_once(monkeypatch):
+    import flatbilliards.search as search_mod
+
+    calls = []
+    real_unfold = search_mod.unfold
+
+    def counting_unfold(P):
+        calls.append(P)
+        return real_unfold(P)
+
+    monkeypatch.setattr(search_mod, "unfold", counting_unfold)
+    search_appropriate(make_entry("2", 5), 4)
+    assert len(calls) == 1
+
+
 def test_second_class_composes():
     # immediate pre-checks apply to the second class as well
     r = search_appropriate(make_entry("7"), 8, cls=2)
