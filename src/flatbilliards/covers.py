@@ -44,13 +44,15 @@ def motion_from_word(P: Polygon, word) -> Motion:
 
     Starting from the identity copy of P, each index s reflects the
     current copy across its own side s; the result is the motion
-    placing the final copy.
+    placing the final copy.  Side indices run from 0 to k - 1.
     """
     verts = P.vertices()
     k = len(verts)
     cur = Motion.identity()
     for s in word:
-        s = int(s) % k
+        s = int(s)
+        if not 0 <= s < k:
+            raise CoverError(f"side index {s} out of range for {k} sides")
         a = cur.apply(verts[s])
         d = cur.orth.apply_angle(P.edges[s].direction.multiple)
         cur = reflection_across_line(a, d).compose(cur)

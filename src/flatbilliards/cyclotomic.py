@@ -375,6 +375,8 @@ class CyclotomicReal:
             num = [a.num[0] * b.num[0]]
             return CyclotomicReal(a.n, num, a.den * b.den, _trusted=True)
         rows = ctx.rows_upto(2 * ctx.phi - 2)
+        # call through the module attribute: perfbench/tracing.py wraps
+        # _kernel.mul_reduced there and sees no call bound to a local name
         num = _kernel.mul_reduced(list(a.num), list(b.num), rows, ctx.phi)
         return CyclotomicReal(a.n, num, a.den * b.den, _trusted=True)
 

@@ -45,11 +45,37 @@ def cyc_from_json(doc) -> CyclotomicReal:
     if isinstance(doc, str):
         return parse_constant(doc)
     if isinstance(doc, dict) and "conductor" in doc and "coeffs" in doc:
-        coeffs = [F(c) for c in doc["coeffs"]]
-        den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+        n = doc["conductor"]
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise FormatError(f"conductor must be a positive integer: {n!r}")
+        coeffs = doc["coeffs"]
+        # phi(n) >= sqrt(n / 2): a larger n cannot match the list, and
+        # the trial division in _totient stays within the input's size
+        if (
+            not isinstance(coeffs, list)
+            or 2 * len(coeffs) ** 2 < n
+            or len(coeffs) != _totient(n)
+        ):
+            raise FormatError(f"conductor {n} needs phi({n}) coefficients")
+        coeffs = [fraction_from_str(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in coeffs))
         nums = [int(c * den) for c in coeffs]
-        return CyclotomicReal(int(doc["conductor"]), nums, den)
+        return CyclotomicReal(n, nums, den)
     raise FormatError(f"not an exact value: {doc!r}")
+
+
+def _totient(n: int) -> int:
+    """Euler's phi: the number of coefficients at conductor n."""
+    out, m, p = n, n, 2
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            out -= out // p
+        p += 1
+    if m > 1:
+        out -= out // m
+    return out
 
 
 def fraction_to_str(q) -> str:
@@ -60,7 +86,7 @@ def fraction_to_str(q) -> str:
 def fraction_from_str(text) -> Fraction:
     try:
         return F(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise FormatError(f"not a rational number: {text!r}") from exc
 
 
@@ -88,10 +114,12 @@ def polygon_from_json(doc) -> Polygon:
         if len(angles) != 3:
             raise FormatError("triangle needs exactly three angles")
         return triangle_from_angles(*angles)
-    if "edges" not in doc:
-        raise FormatError("polygon document needs 'edges' or 'triangle'")
+    if not isinstance(doc.get("edges"), list):
+        raise FormatError("polygon document needs 'edges' list or 'triangle'")
     edges = []
     for e in doc["edges"]:
+        if not isinstance(e, dict) or not {"direction", "length"} <= e.keys():
+            raise FormatError("each edge needs 'direction' and 'length'")
         edges.append(
             Edge(
                 fraction_from_str(e["direction"]),

@@ -1,11 +1,16 @@
 """Bounded search for branched covers over a base polygon.
 
 The search grows tilings copy by copy: every move reflects an existing
-copy across one of its free sides.  Positions are tracked in floating
-point (the polygons involved keep features far above the rounding
-scale); all group combinatorics, angles, and vertex classes stay exact,
-and any surviving candidate is re-verified with exact arithmetic
-before it is reported.
+copy across one of its free sides.  Each copy is the motion
+x -> g.x + t of the base.  Its linear part g is a group element and its
+translation part t is kept exactly, as an integer vector over one
+cyclotomic field, so tilings that are congruent under a group element
+and a translation get the same key and each class is expanded once.
+Floats serve only the geometry around that key: overlap of copies,
+identity of vertex points, and the forced-move simulation (the
+polygons involved keep features far above the rounding scale).  Angles
+and vertex classes stay exact, and any surviving candidate is
+re-verified with exact arithmetic before it is reported.
 
 Pruning rules are tagged and counted:
 
@@ -19,6 +24,9 @@ Pruning rules are tagged and counted:
   starts repeating itself under a translation;
 - per-node rejections of completed tilings (even angle, unbranched,
   two branch points, periodic or unknown branch point).
+
+Children congruent to a tiling already reached are counted as
+"congruent repeats".
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ F = Fraction
 
 _EPS = 1e-7
 _ROUND = 10 ** 6
+_HORIZON = 24  # forced moves replayed by _Search.forced_sim
 
 
 @dataclass
@@ -53,21 +62,17 @@ class SearchReport:
 
 
 # ---------------------------------------------------------------------------
-# float geometry helpers
+# exact anchors and float geometry helpers
 
 
-def _mat(g: LinearMap):
-    if g.kind == "rot":
-        th = math.pi * float(g.param)
-        c, s = math.cos(th), math.sin(th)
-        return (c, -s, s, c)
-    th = 2 * math.pi * float(g.param)
-    c, s = math.cos(th), math.sin(th)
-    return (c, s, s, -c)
-
-
-def _apply(mat, p):
-    return (mat[0] * p[0] + mat[1] * p[1], mat[2] * p[0] + mat[3] * p[1])
+def _pack(coeffs, width):
+    """One int for an integer vector: the coefficients as balanced
+    base-2**width digits.  Packing is additive, and injective on vectors
+    whose coefficients all lie below 2**(width - 1) in absolute value."""
+    out = 0
+    for c in reversed(coeffs):
+        out = (out << width) + c
+    return out
 
 
 def _pkey(p):
@@ -113,13 +118,17 @@ def _sat_disjoint(A, B):
 
 
 class _Copy:
-    __slots__ = ("lin", "verts", "word", "vset")
+    """The base placed by the motion x -> g.x + t, where g is group
+    element `lin`.  anchors[i] is the packed exact vector g_i.t."""
 
-    def __init__(self, lin, verts, word):
+    __slots__ = ("lin", "verts", "word", "vset", "anchors")
+
+    def __init__(self, lin, verts, word, anchors):
         self.lin = lin
         self.verts = verts
         self.word = word
         self.vset = frozenset(_pkey(v) for v in verts)
+        self.anchors = anchors
 
 
 class _Node:
@@ -179,7 +188,6 @@ class _Search:
         self.G = group_of(base_polygon)
         self.N = self.G.N
         self.elements = self.G.elements()
-        self.mats = [_mat(g) for g in self.elements]
         verts = base_polygon.vertices()
         self.k = len(verts)
         self.base_verts = tuple(
@@ -216,8 +224,46 @@ class _Search:
             ]
             for a in range(2 * self.N)
         ]
+        self.deltas = self._anchor_deltas(max_copies + _HORIZON)
         self._admissible_q()
         self.convex_base = all(a < 1 for a in self.angles)
+
+    def _anchor_deltas(self, longest_word):
+        """deltas[g][s][i]: what reflecting a copy with linear part g
+        across its side s adds to the anchor g_i.t.
+
+        Across side s the motion g.x + t becomes g'.x + t' with
+        g' = refl_lin[g][s] and t' = t + g.v_s - g'.v_s, so g_i.t gains
+        E[g_i.g][s] - E[g_i.g'][s], where E[h][j] = h.v_j.  E is exact:
+        both coordinates in the power basis of one cyclotomic field over
+        one common denominator.  A word of length w moves each
+        coefficient by at most 2*w*max|E|; the digit width keeps the
+        differences of such anchors injective for words up to
+        `longest_word` letters."""
+        points = [
+            [g.apply_vec(v) for v in self.P.vertices()] for g in self.elements
+        ]
+        n = math.lcm(*(c.n for row in points for p in row for c in p))
+        points = [[[c.lift(n) for c in p] for p in row] for row in points]
+        den = math.lcm(*(c.den for row in points for p in row for c in p))
+        vecs = [
+            [[x * (den // c.den) for c in p for x in c.num] for p in row]
+            for row in points
+        ]
+        bound = max(abs(x) for row in vecs for v in row for x in v)
+        width = (4 * longest_word * bound).bit_length() + 1
+        E = [[_pack(v, width) for v in row] for row in vecs]
+        mult = self.mult
+        return [
+            [
+                tuple(
+                    E[mult[i][g]][s] - E[mult[i][self.refl_lin[g][s]]][s]
+                    for i in range(2 * self.N)
+                )
+                for s in range(self.k)
+            ]
+            for g in range(2 * self.N)
+        ]
 
     # -- admissible reflection subgroups ----------------------------------
 
@@ -268,24 +314,18 @@ class _Search:
     # -- node bookkeeping --------------------------------------------------
 
     def canonical_key(self, copies):
+        """Exact congruence key: the least, over group elements g_i, of
+        the copies moved by g_i and translated so the least anchor is 0.
+        Two tilings get the same key exactly when a motion maps the
+        copies of one onto the copies of the other (for words within
+        the length _anchor_deltas sized the digits for)."""
         best = None
-        for gi in range(2 * self.N):
-            mat = self.mats[gi]
-            moved = [
-                (self.mult[gi][c.lin], [_apply(mat, v) for v in c.verts])
-                for c in copies
-            ]
-            mn = min(_pkey(v) for _, vs in moved for v in vs)
-            ox, oy = mn[0] / _ROUND, mn[1] / _ROUND
-            key = tuple(
-                sorted(
-                    (lin, tuple(_pkey((v[0] - ox, v[1] - oy)) for v in vs))
-                    for lin, vs in moved
-                )
-            )
+        for gi, row in enumerate(self.mult):
+            low = min(c.anchors[gi] for c in copies)
+            key = sorted((row[c.lin], c.anchors[gi] - low) for c in copies)
             if best is None or key < best:
                 best = key
-        return best
+        return tuple(best)
 
     def analyze_node(self, node):
         an = _Analysis()
@@ -342,7 +382,9 @@ class _Search:
         norm = math.hypot(ux, uy)
         u = (ux / norm, uy / norm)
         verts = tuple(_reflect_point(a, u, v) for v in c.verts)
-        return _Copy(self.refl_lin[c.lin][s], verts, c.word + (s,))
+        delta = self.deltas[c.lin][s]
+        anchors = tuple(x + d for x, d in zip(c.anchors, delta))
+        return _Copy(self.refl_lin[c.lin][s], verts, c.word + (s,), anchors)
 
     def legal_child(self, node, ci, s):
         """The reflected copy if placing it keeps interiors disjoint
@@ -422,9 +464,14 @@ class _Search:
             for rec in an.boundary.values()
         )
 
-    def forced_sim(self, node, horizon=24):
+    def forced_sim(self, node, horizon=_HORIZON):
         """Replay forced moves; True when the configuration repeats
-        itself under a translation (an infinite forced strip)."""
+        itself under a translation (an infinite forced strip).
+
+        The moves are chosen in the order of the given node: its float
+        vertex keys and its copy indices.  Congruent nodes can therefore
+        replay different moves, and whether the prune fires can depend
+        on which representative of a class the search keeps."""
         copies = list(node.copies)
         grown = 0
         while grown < horizon:
@@ -513,6 +560,7 @@ class _Search:
             return "even angle"
         if not branch:
             return "unbranched (lattice)"
+        # the tag covers two or more branched classes
         if len(branch) >= 2:
             return "two branch points"
         status = self.statuses[branch.pop()]
@@ -533,13 +581,21 @@ _KEEP_TAGS = {
 }
 
 
+def _root_copy(searcher: _Search) -> _Copy:
+    return _Copy(
+        searcher.G.index_of(LinearMap.identity()),
+        searcher.base_verts,
+        (),
+        (0,) * (2 * searcher.N),
+    )
+
+
 def node_from_words(searcher: _Search, words) -> _Node:
     """Rebuild a node from stored reflection words (each word chains
     reflections starting at the base copy)."""
     copies = []
-    base_lin = searcher.G.index_of(LinearMap.identity())
     for w in words:
-        c = _Copy(base_lin, searcher.base_verts, ())
+        c = _root_copy(searcher)
         for s in w:
             c = searcher.reflect_copy(_Node((c,)), 0, s)
         copies.append(c)
@@ -618,15 +674,7 @@ def _run_enumeration(searcher: _Search, report: SearchReport, want: str,
     'appropriate' (first-class candidates) or 'periodic-branched'
     (intermediate bases for the second class, collected in `bases`).
     Returns whether an unknown verdict was encountered."""
-    root = _Node(
-        (
-            _Copy(
-                searcher.G.index_of(LinearMap.identity()),
-                searcher.base_verts,
-                (),
-            ),
-        )
-    )
+    root = _Node((_root_copy(searcher),))
     root.key = searcher.canonical_key(root.copies)
     seen = {root.key}
     frontier = [root]
@@ -658,6 +706,7 @@ def _run_enumeration(searcher: _Search, report: SearchReport, want: str,
                 child = _Node(node.copies + (new,))
                 child.key = searcher.canonical_key(child.copies)
                 if child.key in seen:
+                    _tag(report, "congruent repeats")
                     continue
                 seen.add(child.key)
                 child_an = searcher.analyze_node(child)
@@ -682,7 +731,7 @@ def _confirm_candidate(searcher, report, node) -> str:
         t = tile_by_words(searcher.P, words)
         a = analyze_cover(t)
         verdict = appropriate_verdict(a, searcher.statuses)
-    except Exception:
+    except ValueError:
         return "rejected by exact verdict"
     if verdict["appropriate"] is True:
         report.candidates.append(
@@ -713,7 +762,7 @@ def _collect_periodic_branched(searcher, report, node, an, bases):
     try:
         t = tile_by_words(searcher.P, words)
         analyze_cover(t)
-    except Exception:
+    except ValueError:
         return
     key = t.outline.canonical_key()
     if key in {k for k, _ in bases}:

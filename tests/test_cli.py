@@ -120,6 +120,64 @@ def test_check_cover(tmp_path, capsys):
     assert doc["appropriate"] is False
 
 
+def test_check_cover_rejects_out_of_range_side(tmp_path, capsys):
+    # a triangle has sides 0, 1, 2; side 7 used to wrap round to side 1
+    tiling = tmp_path / "tiling.json"
+    tiling.write_text(
+        json.dumps(
+            {
+                "base": {"triangle": ["1/2", "1/8", "3/8"]},
+                "words": [[], [7]],
+            }
+        )
+    )
+    code, doc, err = run(capsys, "check-cover", "--in", str(tiling))
+    assert code == 1 and doc is None
+    assert err["error"] == "CoverError"
+    assert "side index 7" in err["message"]
+
+
+def _square(first_edge):
+    return {
+        "edges": [first_edge]
+        + [
+            {"direction": d, "length": "1"}
+            for d in ("1/2", "1", "3/2")
+        ]
+    }
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [
+        {"direction": "0", "length": {"conductor": -5, "coeffs": ["1"]}},
+        {"direction": "0", "length": {"conductor": 0, "coeffs": ["1"]}},
+        {"direction": "0", "length": {"conductor": 2.5, "coeffs": ["1"]}},
+        {"direction": "0", "length": {"conductor": 1, "coeffs": ["1", "0"]}},
+        {"direction": "0", "length": {"conductor": 5, "coeffs": ["1"]}},
+        {"direction": "0", "length": {"conductor": 1, "coeffs": [None]}},
+        {"direction": "0"},
+        {"length": "1"},
+        "0",
+    ],
+)
+def test_malformed_input_is_a_format_error(tmp_path, capsys, edge):
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(_square(edge)))
+    code, doc, err = run(capsys, "analyze", "--in", str(poly))
+    assert code == 1 and doc is None
+    assert err["error"] == "FormatError"
+
+
+def test_exact_length_in_coordinates_is_accepted(tmp_path, capsys):
+    poly = tmp_path / "poly.json"
+    length = {"conductor": 1, "coeffs": ["1"]}
+    poly.write_text(json.dumps(_square({"direction": "0", "length": length})))
+    code, doc, _ = run(capsys, "analyze", "--in", str(poly))
+    assert code == 0
+    assert doc["genus"] == {"g": 1, "chi": 0}
+
+
 def test_catalog_listing_and_entry(capsys):
     code, doc, _ = run(capsys, "catalog")
     assert code == 0 and len(doc["families"]) == 13

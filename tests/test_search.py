@@ -1,10 +1,27 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from flatbilliards.catalog import make_entry
 from flatbilliards.covers import analyze_cover, tile_by_words
-from flatbilliards.search import search_appropriate
+from flatbilliards.search import (
+    SearchReport,
+    _Node,
+    _root_copy,
+    _run_enumeration,
+    _Search,
+    _StatusOracle,
+    node_from_words,
+    search_appropriate,
+)
+from flatbilliards.unfolding import unfold
+
+
+def _searcher(family, n, max_copies):
+    e = make_entry(family, n)
+    return _Search(e.polygon, _StatusOracle(unfold(e.polygon), e.facts),
+                   max_copies)
 
 
 def test_immediate_angle_bound():
@@ -92,18 +109,8 @@ def test_two_branch_point_tags_are_truthful():
 def test_pruned_nodes_stay_disqualified():
     # soundness sample: re-expand pruned nodes one step; every legal
     # child must still be disqualified by some subtree rule
-    from flatbilliards.search import (
-        _StatusOracle,
-        _Search,
-        node_from_words,
-    )
-    from flatbilliards.unfolding import unfold
-
-    e = make_entry("2", 5)
-    searcher = _Search(
-        e.polygon, _StatusOracle(unfold(e.polygon), e.facts), 8
-    )
-    r = search_appropriate(e, 7)
+    searcher = _searcher("2", 5, 8)
+    r = search_appropriate(make_entry("2", 5), 7)
     locked_tags = [
         "locked two branch points",
         "locked periodic branch",
@@ -119,8 +126,6 @@ def test_pruned_nodes_stay_disqualified():
                 new = searcher.legal_child(node, ci, s)
                 if new is None:
                     continue
-                from flatbilliards.search import _Node
-
                 child = _Node(node.copies + (new,))
                 child_an = searcher.analyze_node(child)
                 assert searcher.subtree_prune(child, child_an) is not None
@@ -165,3 +170,129 @@ def test_resource_budget_reported():
     r = search_appropriate(make_entry("2", 5), 8, max_nodes=5)
     assert r.outcome == "inconclusive"
     assert r.statistics.get("resource budget", 0) == 1
+
+
+def test_congruent_tilings_share_one_key():
+    # these two three-copy tilings of the (pi/2, pi/5, 3pi/10) triangle
+    # are congruent under a reflection of D_10; a key built from rounded
+    # float vertices told them apart
+    searcher = _searcher("2", 5, 8)
+    a = node_from_words(searcher, [(), (1,), (1, 0)])
+    b = node_from_words(searcher, [(), (1,), (0,)])
+    for c in a.copies + b.copies:
+        c.verts = None  # the key reads the exact anchors only
+    assert searcher.canonical_key(a.copies) == searcher.canonical_key(b.copies)
+    c = node_from_words(searcher, [(), (1,), (2,)])
+    assert searcher.canonical_key(c.copies) != searcher.canonical_key(a.copies)
+
+
+@pytest.mark.parametrize("family,n", [("2", 5), ("2", 7), ("6", 5)])
+def test_key_does_not_depend_on_the_base_copy(family, n):
+    # copy i sits at r_{w_1} o ... o r_{w_m}; each reflection is an
+    # involution, so seen from copy j it sits at reversed(w_j) + w_i
+    searcher = _searcher(family, n, 6)
+    r = search_appropriate(make_entry(family, n), 6)
+    lists = [w for kept in r.rejected.values() for w in kept]
+    assert lists
+    for words in lists:
+        key = searcher.canonical_key(node_from_words(searcher, words).copies)
+        for wj in words:
+            rerooted = [list(reversed(wj)) + list(wi) for wi in words]
+            node = node_from_words(searcher, rerooted)
+            assert searcher.canonical_key(node.copies) == key
+
+
+def _float_class(searcher, copies):
+    """A congruence key that does not read the exact anchors: each
+    copy's group element and the float position of its base vertex 0,
+    moved by every group element, centred on their mean and rounded to
+    a 1e-4 grid (the smallest gap between distinct positions here is
+    far larger)."""
+    mx = sum(c.verts[0][0] for c in copies) / len(copies)
+    my = sum(c.verts[0][1] for c in copies) / len(copies)
+    best = None
+    for gi, g in enumerate(searcher.elements):
+        th = math.pi * float(g.param) * (1 if g.kind == "rot" else 2)
+        a, b = math.cos(th), math.sin(th)
+        m = (a, -b, b, a) if g.kind == "rot" else (a, b, b, -a)
+        key = []
+        for c in copies:
+            x, y = c.verts[0][0] - mx, c.verts[0][1] - my
+            key.append((
+                searcher.mult[gi][c.lin],
+                round((m[0] * x + m[1] * y) * 1e4) + 0,
+                round((m[2] * x + m[3] * y) * 1e4) + 0,
+            ))
+        key.sort()
+        if best is None or key < best:
+            best = key
+    return tuple(best)
+
+
+def _classes_without_dedup(family, n, max_copies, forcing):
+    """Every tiling reachable by legal moves and subtree prunes alone,
+    merged only when it is the same set of placed copies.  Maps each
+    class (by _float_class) to whether some path reaches it without
+    passing through a class in `forcing`."""
+    searcher = _searcher(family, n, max_copies)
+    root = _Node((_root_copy(searcher),))
+    level = [(root, True)]
+    classes = {}
+    while level:
+        nxt = {}
+        for node, clean in level:
+            cls = _float_class(searcher, node.copies)
+            classes[cls] = classes.get(cls, False) or clean
+            if len(node.copies) >= max_copies:
+                continue
+            an = searcher.analyze_node(node)
+            if len(node.copies) > 1 and searcher.subtree_prune(node, an):
+                continue
+            clean = clean and cls not in forcing
+            for ci, s in an.external:
+                new = searcher.legal_child(node, ci, s)
+                if new is None:
+                    continue
+                child = _Node(node.copies + (new,))
+                ident = frozenset((c.lin, c.vset) for c in child.copies)
+                _, seen_clean = nxt.get(ident, (None, False))
+                nxt[ident] = (child, clean or seen_clean)
+        level = list(nxt.values())
+    return classes
+
+
+@pytest.mark.parametrize("family,n", [("2", 5), ("2", 7)])
+def test_search_reaches_every_class(family, n):
+    # differential check against an enumeration with no congruence
+    # deduplication: the search reaches every class, except classes it
+    # can only reach below an "infinite forcing" prune (that heuristic
+    # replays the moves of the one representative it is given)
+    K = 6
+    searcher = _searcher(family, n, K)
+    keys, reached, forcing = [], set(), set()
+    real_key, real_sim = searcher.canonical_key, searcher.forced_sim
+
+    def key(copies):
+        keys.append(real_key(copies))
+        reached.add(_float_class(searcher, copies))
+        return keys[-1]
+
+    def sim(node):
+        hit = real_sim(node)
+        if hit:
+            forcing.add(_float_class(searcher, node.copies))
+        return hit
+
+    searcher.canonical_key, searcher.forced_sim = key, sim
+    report = SearchReport(family, n, 1, K, "none_found",
+                          statistics={"nodes": 0})
+    _run_enumeration(searcher, report, want="appropriate")
+    repeats = report.statistics["congruent repeats"]
+    assert len(keys) == len(set(keys)) + repeats
+    # exact keys and float classes agree on every tiling the search met
+    assert len(set(keys)) == len(reached)
+
+    classes = _classes_without_dedup(family, n, K, forcing)
+    assert reached <= set(classes)
+    lost = [c for c in classes if c not in reached]
+    assert not any(classes[c] for c in lost)
