@@ -16,8 +16,8 @@ from . import fileio
 from .catalog import CatalogError, list_families, make_entry
 from .covers import analyze_cover, appropriate_verdict, tile_by_words
 from .cyclotomic import is_rational
-from .flow import NotShownPeriodic, cylinder_decomposition, height_split
-from .periodicity import classify_point
+from .flow import NotShownPeriodic, cylinder_decomposition
+from .periodicity import classify_points
 from .polygons import Polygon
 from .unfolding import unfold
 
@@ -57,9 +57,7 @@ def _load_polygon(args) -> Polygon:
     if getattr(args, "input", None):
         return fileio.polygon_from_json(fileio.read_json(args.input))
     if getattr(args, "triangle", None):
-        angles = [
-            fileio.fraction_from_str(a) for a in args.triangle.split(",")
-        ]
+        angles = args.triangle.split(",")
         return fileio.polygon_from_json({"triangle": angles})
     return make_entry(args.family, getattr(args, "n", None)).polygon
 
@@ -161,42 +159,40 @@ def _cmd_nonperiodic_test(args) -> int:
     directions = None
     if args.direction is not None:
         directions = [fileio.fraction_from_str(args.direction)]
+    cps = M.classes_for_source_vertex(vertex)
+    verdicts = classify_points(M, cps, directions)
     classes = []
-    non_periodic = False
-    all_periodic = True
-    for cp in M.classes_for_source_vertex(vertex):
-        v = classify_point(M, cp, directions=directions)
+    for cp in cps:
+        v = verdicts[cp.class_id]
         entry = {
             "class_id": cp.class_id,
             "singular": cp.is_singular,
             "status": v.status,
         }
-        if v.status != "periodic":
-            all_periodic = False
         if v.status == "non_periodic":
-            non_periodic = True
             cert = v.certificate
             ratio = cert["h1"] / cert["h"]
-            square = ratio * ratio
-            sq_rational = is_rational(square)
+            square = is_rational(ratio * ratio)
             entry["certificate"] = {
                 "direction": fileio.fraction_to_str(cert["direction"]),
                 "h1": fileio.cyc_to_json(cert["h1"]),
                 "h": fileio.cyc_to_json(cert["h"]),
                 "ratio": fileio.cyc_to_json(ratio),
                 "ratio_squared_rational": (
-                    fileio.fraction_to_str(sq_rational)
-                    if sq_rational is not None
-                    else None
+                    None if square is None else fileio.fraction_to_str(square)
                 ),
             }
         elif v.status == "periodic":
             entry["certificate"] = v.certificate
+        else:
+            entry["evidence"] = [
+                {"direction": fileio.fraction_to_str(d), "result": result}
+                for d, result in v.evidence
+            ]
         classes.append(entry)
-    status = (
-        "non_periodic"
-        if non_periodic
-        else ("periodic" if all_periodic else "unknown")
+    statuses = {v.status for v in verdicts.values()}
+    status = next(
+        (s for s in ("non_periodic", "unknown") if s in statuses), "periodic"
     )
     doc = {"vertex": vertex, "status": status, "classes": classes}
     if args.out:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import planar
+from .periodicity import classify_point
 from .polygons import (
     DihedralGroup,
     Edge,
@@ -556,63 +557,45 @@ def appropriate_verdict(analysis: CoverAnalysis, verdicts=None) -> dict:
     point, with that point fixed by the outline group and the tiling
     symmetries, and no even angle forcing -Id into the outline group?
 
-    `verdicts` maps base cone-class ids to periodicity verdicts (or
-    status strings); missing entries are computed on demand.
+    `verdicts` maps base cone-class ids to status strings (the search
+    passes its lazy oracle); without it the branch point is classified
+    here.
     """
     reasons = []
-    ok = True
-    unknown = False
+    unknown = "branch point periodicity unknown"
 
     branched = analysis.branched_classes()
     if len(branched) == 0:
-        ok = False
         reasons.append("unbranched cover")
     elif len(branched) >= 2:
-        ok = False
         reasons.append("two branch points")
 
     Q = analysis.tiling.outline
     screen = minus_id_screen(Q, external_sides=range(len(Q.edges)))
     if screen["in_group"]:
-        ok = False
         reasons.append(f"rotation by pi in outline group ({screen['reason']})")
 
     if len(branched) == 1:
         bp = branched[0]
         M_P = analysis.base_surface
-        status = None
-        if verdicts is not None and bp.class_id in verdicts:
-            v = verdicts[bp.class_id]
-            status = v if isinstance(v, str) else v.status
-        else:
-            from .periodicity import classify_point
-
-            cp = next(
-                c for c in M_P.cone_points() if c.class_id == bp.class_id
-            )
+        cp = next(c for c in M_P.cone_points() if c.class_id == bp.class_id)
+        if verdicts is None:
             status = classify_point(M_P, cp).status
+        else:
+            status = verdicts[bp.class_id]
         if status == "periodic":
-            ok = False
             reasons.append("branch point is periodic")
         elif status != "non_periodic":
-            unknown = True
-            reasons.append("branch point periodicity unknown")
+            reasons.append(unknown)
 
-        cp = next(
-            c for c in M_P.cone_points() if c.class_id == bp.class_id
-        )
-        G_Q = group_of(Q)
-        movers = list(G_Q.elements()) + list(analysis.H)
-        for g in movers:
-            if M_P.act_on_class(g, cp).class_id != cp.class_id:
-                ok = False
-                reasons.append(
-                    "branch point is not fixed by the cover's symmetries"
-                )
-                break
+        movers = list(group_of(Q).elements()) + list(analysis.H)
+        if any(
+            M_P.act_on_class(g, cp).class_id != cp.class_id for g in movers
+        ):
+            reasons.append(
+                "branch point is not fixed by the cover's symmetries"
+            )
 
-    if not ok:
+    if any(r != unknown for r in reasons):
         return {"appropriate": False, "reasons": reasons}
-    if unknown:
-        return {"appropriate": "unknown", "reasons": reasons}
-    return {"appropriate": True, "reasons": reasons}
+    return {"appropriate": "unknown" if reasons else True, "reasons": reasons}

@@ -110,10 +110,10 @@ def polygon_from_json(doc) -> Polygon:
     if not isinstance(doc, dict):
         raise FormatError("polygon document must be an object")
     if "triangle" in doc:
-        angles = [fraction_from_str(a) for a in doc["triangle"]]
-        if len(angles) != 3:
-            raise FormatError("triangle needs exactly three angles")
-        return triangle_from_angles(*angles)
+        angles = doc["triangle"]
+        if not isinstance(angles, list) or len(angles) != 3:
+            raise FormatError("triangle needs a list of three angles")
+        return triangle_from_angles(*map(fraction_from_str, angles))
     if not isinstance(doc.get("edges"), list):
         raise FormatError("polygon document needs 'edges' list or 'triangle'")
     edges = []
@@ -140,7 +140,11 @@ def tiling_from_json(doc):
     if not isinstance(doc, dict) or "base" not in doc or "words" not in doc:
         raise FormatError("tiling document needs 'base' and 'words'")
     base = polygon_from_json(doc["base"])
-    words = [[int(s) for s in w] for w in doc["words"]]
+    words = doc["words"]
+    if not isinstance(words, list) or not all(
+        isinstance(w, list) and all(type(s) is int for s in w) for w in words
+    ):
+        raise FormatError("'words' must be lists of integer side indices")
     return base, words
 
 

@@ -577,16 +577,13 @@ def _locate_class(dec: Decomposition, cp: ConePoint):
     raise SurfaceError("marked point not located")  # pragma: no cover
 
 
-def height_split(M: TranslationSurface, theta, p, length_bound=None) -> dict:
-    """Split of the cylinder height at a marked point.
+def height_split(M: TranslationSurface, dec: Decomposition, p) -> dict:
+    """Split of the cylinder height at a marked point of decomposition dec.
 
     p is a regular vertex class (ConePoint) or an interior SurfacePoint.
     Returns h1 (distance to the lower boundary), h, their exact ratio,
     and whether the ratio is rational.
     """
-    dec = theta if isinstance(theta, Decomposition) else None
-    if dec is None:
-        dec = cylinder_decomposition(M, theta, length_bound)
     if isinstance(p, ConePoint):
         if p.is_singular:
             raise FlowError("height split is undefined at a singular point")
@@ -602,11 +599,9 @@ def height_split(M: TranslationSurface, theta, p, length_bound=None) -> dict:
     return {
         "h1": h1,
         "h": h,
-        "h2": h - h1,
         "ratio": ratio,
         "rational": q is not None,
         "ratio_rational_value": q,
-        "decomposition": dec,
         "cylinder": cyl,
     }
 

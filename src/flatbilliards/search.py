@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .catalog import CatalogEntry
 from .covers import analyze_cover, appropriate_verdict, tile_by_words
-from .periodicity import classify_point
+from .periodicity import classify_point, default_directions
 from .polygons import LinearMap, group_of
 from .unfolding import unfold
 
@@ -147,9 +147,10 @@ class _Analysis:
 class _StatusOracle(dict):
     """Lazy periodicity status per base cone class.
 
-    Classes named in the catalog facts are certified with the recorded
-    direction; anything else falls back to the default direction list.
-    Results are memoized so each class is classified at most once.
+    Classes at the angles named in the catalog facts try the recorded
+    split direction first, then the default direction list; anything
+    else tries the default list only.  Results are memoized so each
+    class is classified at most once.
     """
 
     def __init__(self, M, facts):
@@ -157,12 +158,6 @@ class _StatusOracle(dict):
         self.M = M
         self.facts = facts
         self.cps = {cp.class_id: cp for cp in M.cone_points()}
-        if facts.get("all_vertex_points_periodic"):
-            for cid in self.cps:
-                self[cid] = "periodic"
-
-    def __contains__(self, cid):
-        return cid in self.cps
 
     def __missing__(self, cid):
         cp = self.cps[cid]
@@ -170,12 +165,11 @@ class _StatusOracle(dict):
         split = self.facts.get("split_direction")
         dirs = None
         if split is not None and cp.angle.multiple in known:
-            dirs = [split]
-        v = classify_point(self.M, cp, directions=dirs)
-        if v.status == "unknown" and dirs is not None:
-            v = classify_point(self.M, cp)
-        self[cid] = v.status
-        return v.status
+            dirs = [split] + [
+                d for d in default_directions(self.M) if d != split
+            ]
+        self[cid] = classify_point(self.M, cp, directions=dirs).status
+        return self[cid]
 
 
 class _Search:

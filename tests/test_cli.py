@@ -100,6 +100,11 @@ def test_nonperiodic_test_example(capsys):
         if c["status"] == "non_periodic"
     ]
     assert "1/3" in squares
+    # the other two pi/3 classes sit on horizontal separatrices
+    unknown = [c for c in doc["classes"] if c["status"] == "unknown"]
+    assert len(unknown) == 2
+    for c in unknown:
+        assert c["evidence"] == [{"direction": "0", "result": "on_separatrix"}]
 
 
 def test_check_cover(tmp_path, capsys):
@@ -147,6 +152,10 @@ def _square(first_edge):
     }
 
 
+def _tiling(words, base=None):
+    return {"base": base or {"triangle": ["1/2", "1/8", "3/8"]}, "words": words}
+
+
 @pytest.mark.parametrize(
     "edge",
     [
@@ -159,12 +168,23 @@ def _square(first_edge):
         {"direction": "0"},
         {"length": "1"},
         "0",
+        # whole tiling documents, read by check-cover
+        pytest.param(_tiling([[], 5]), id="word-not-a-list"),
+        pytest.param(_tiling([[], [None]]), id="side-null"),
+        pytest.param(_tiling([[], [1.5]]), id="side-float"),
+        pytest.param(_tiling([[], [True]]), id="side-bool"),
+        pytest.param(_tiling([[]], {"triangle": 5}), id="triangle-not-a-list"),
     ],
 )
 def test_malformed_input_is_a_format_error(tmp_path, capsys, edge):
-    poly = tmp_path / "poly.json"
-    poly.write_text(json.dumps(_square(edge)))
-    code, doc, err = run(capsys, "analyze", "--in", str(poly))
+    # an edge goes into a square read by analyze; a tiling goes as it is
+    # to check-cover
+    command, doc = "analyze", _square(edge)
+    if isinstance(edge, dict) and "words" in edge:
+        command, doc = "check-cover", edge
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code, doc, err = run(capsys, command, "--in", str(path))
     assert code == 1 and doc is None
     assert err["error"] == "FormatError"
 

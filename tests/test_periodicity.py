@@ -1,7 +1,12 @@
 from fractions import Fraction as F
 
+import pytest
+
+from flatbilliards import periodicity
+from flatbilliards.catalog import make_entry
 from flatbilliards.periodicity import (
     classify_point,
+    classify_points,
     default_directions,
     replay_certificate,
 )
@@ -79,3 +84,57 @@ def test_default_directions_cover_axes():
     dirs = default_directions(M)
     assert F(0) in dirs
     assert len(dirs) == M.N or len(dirs) == M.N + 1
+
+
+def test_unknown_verdicts_keep_their_evidence():
+    # classes 0 and 5 of (pi/4, pi/3, 5pi/12) sit on horizontal
+    # separatrices; the other pi/3 classes split irrationally there
+    M = unfold(triangle_from_angles(F(1, 4), F(1, 3), F(5, 12)))
+    verdicts = classify_points(M, M.cone_points(), directions=[0])
+    for cid in (0, 5):
+        v = verdicts[cid]
+        assert v.status == "unknown" and v.certificate == "none"
+        assert v.evidence == ((0, "on_separatrix"),)
+    for cid in (3, 7):
+        assert verdicts[cid].status == "non_periodic"
+    for v in classify_points(M, M.cone_points(), directions=[]).values():
+        assert v.status != "non_periodic" and v.evidence == ()
+
+
+def _same_verdict(a, b):
+    if a.status != b.status:
+        return False
+    if a.status != "non_periodic":
+        return a.certificate == b.certificate
+    ca, cb = a.certificate, b.certificate
+    return (
+        ca["direction"] == cb["direction"]
+        and (ca["h1"] - cb["h1"]).is_zero
+        and (ca["h"] - cb["h"]).is_zero
+    )
+
+
+@pytest.mark.parametrize(
+    "family,n", [("2", 5), ("6", 5), ("5a", None), ("5c", None)]
+)
+def test_classify_points_agrees_with_classify_point(family, n, monkeypatch):
+    e = make_entry(family, n)
+    M = unfold(e.polygon)
+    split = e.facts["split_direction"]
+    certify = [split] + [d for d in default_directions(M) if d != split]
+    decomposed = []
+    real = periodicity.cylinder_decomposition
+
+    def counting(M, theta):
+        decomposed.append(F(theta) % 2)
+        return real(M, theta)
+
+    for directions in (None, certify):
+        decomposed.clear()
+        monkeypatch.setattr(periodicity, "cylinder_decomposition", counting)
+        together = classify_points(M, M.cone_points(), directions)
+        monkeypatch.setattr(periodicity, "cylinder_decomposition", real)
+        assert decomposed and len(decomposed) == len(set(decomposed))
+        for cp in M.cone_points():
+            alone = classify_point(M, cp, directions)
+            assert _same_verdict(together[cp.class_id], alone)

@@ -5,6 +5,7 @@ import pytest
 
 from flatbilliards.catalog import make_entry
 from flatbilliards.covers import analyze_cover, tile_by_words
+from flatbilliards.periodicity import classify_point, default_directions
 from flatbilliards.search import (
     SearchReport,
     _Node,
@@ -296,3 +297,22 @@ def test_search_reaches_every_class(family, n):
     assert reached <= set(classes)
     lost = [c for c in classes if c not in reached]
     assert not any(classes[c] for c in lost)
+
+
+@pytest.mark.parametrize("family,n", [("5c", None), ("2", 5)])
+def test_status_oracle_tries_split_then_defaults(family, n):
+    # the oracle makes one classification per class; its status must be
+    # what the split direction alone, then the default list, gave
+    e = make_entry(family, n)
+    M = unfold(e.polygon)
+    split = e.facts["split_direction"]
+    if family == "5c":
+        assert split not in default_directions(M)
+    oracle = _StatusOracle(M, e.facts)
+    for cp in M.cone_points():
+        v = None
+        if cp.angle.multiple in e.facts["non_periodic_vertex_angles"]:
+            v = classify_point(M, cp, directions=[split])
+        if v is None or v.status == "unknown":
+            v = classify_point(M, cp)
+        assert oracle[cp.class_id] == v.status
