@@ -113,7 +113,7 @@ def _require(cond: bool, msg: str):
         raise CatalogError(msg)
 
 
-def make_entry(family: str, n: int | None = None, lengths=None) -> CatalogEntry:
+def make_entry(family: str, n: int | None = None) -> CatalogEntry:
     family = str(family)
     facts: dict = {"lattice": True}
     if family == "1":
@@ -169,7 +169,7 @@ def make_entry(family: str, n: int | None = None, lengths=None) -> CatalogEntry:
     elif family == "7":
         poly = triangle_from_angles(F(1, 12), F(1, 3), F(7, 12))
     elif family == "8":
-        poly = l_shape(lengths if lengths is not None else (1, 1, 1, 1))
+        poly = l_shape()
         facts["all_vertex_points_periodic"] = True
         facts["periodic_reason"] = "rotation_by_pi"
     elif family == "9a":

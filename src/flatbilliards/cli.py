@@ -144,7 +144,6 @@ def _cmd_cylinders(args) -> int:
 
 def _cmd_nonperiodic_test(args) -> int:
     P = _load_polygon(args)
-    M = unfold(P)
     if args.point is not None:
         if len(P.edges) != 3 or args.point not in _POINT_TO_VERTEX:
             raise fileio.FormatError(
@@ -156,6 +155,10 @@ def _cmd_nonperiodic_test(args) -> int:
         vertex = args.vertex
     else:
         raise fileio.FormatError("give --point or --vertex")
+    if not 0 <= vertex < len(P.edges):
+        raise fileio.FormatError(
+            f"vertex {vertex} not in 0..{len(P.edges) - 1}")
+    M = unfold(P)
     directions = None
     if args.direction is not None:
         directions = [fileio.fraction_from_str(args.direction)]

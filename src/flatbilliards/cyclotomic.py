@@ -4,9 +4,11 @@ A value is stored as an integer polynomial in zeta_n (a primitive n-th
 root of unity) over a common denominator, reduced modulo the n-th
 cyclotomic polynomial.  Only values fixed by complex conjugation (real
 values) are allowed through the public constructors.  Equality is
-exact; order comparisons run certified interval refinement and only
-fall back to more precision when intervals overlap, so no result ever
-depends on floating point.
+exact.  Signs, intervals, floats and decimals come from one integer
+enclosure: at precision p, sum c_j*C_j with each integer C_j less than
+2 units below 2**p*cos(2*pi*j/n) (midpoint-radius arithmetic, as in
+Johansson's Arb).  A sign doubles p until the enclosure excludes 0, so
+no result depends on floating point.
 
 Square roots are not a primitive: surd identities are verified by
 polynomial relations on trig combinations instead.
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
+from mpmath import libmp
 
 from . import _kernel
 
@@ -132,65 +134,44 @@ def _context(n: int) -> _Context:
 class Interval:
     """Certified enclosure lo <= value <= hi at a working precision."""
 
-    lo: object  # mpmath.mpf
-    hi: object  # mpmath.mpf
+    lo: Fraction
+    hi: Fraction
     precision_bits: int
 
     def width(self):
         return self.hi - self.lo
 
-    def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]@{self.precision_bits}"
+
+# (n, p) -> C_j for j < phi(n), with 0 <= 2**p * cos(2*pi*j/n) - C_j < 2
+_COS_FLOORS: dict[tuple[int, int], list[int]] = {}
 
 
-# (conductor, precision) -> enclosures of cos(2*pi*j/n), j = 0 .. phi-1
-_COS_INTERVALS: dict[tuple[int, int], list] = {}
-
-
-def _cos_intervals(n: int, phi: int, prec: int) -> list:
-    """Enclosures of the real parts of the powers of zeta_n, computed
-    once per working precision; the caller has set iv.prec = prec."""
-    table = _COS_INTERVALS.get((n, prec))
+def _cos_floors(n: int, phi: int, prec: int) -> list[int]:
+    """Floors of the lower ends of libmp enclosures at prec + 16 bits,
+    which are far narrower than 2**-prec; C_0 = 2**prec is exact."""
+    table = _COS_FLOORS.get((n, prec))
     if table is None:
-        iv = mpmath.iv
-        table = [None] + [iv.cos(iv.pi * (2 * j) / n) for j in range(1, phi)]
-        _COS_INTERVALS[(n, prec)] = table
+        w = prec + 16
+        pi = [libmp.mpf_pi(w, r) for r in "fc"]
+        table = [1 << prec]
+        for j in range(1, phi):
+            q = [libmp.from_rational(2 * j, n, w, r) for r in "fc"]
+            lo, _ = libmp.mpi_cos(libmp.mpi_mul(pi, q, w), w)
+            table.append(libmp.to_int(libmp.mpf_shift(lo, prec), "f"))
+        _COS_FLOORS[(n, prec)] = table
     return table
 
 
-def _eval_interval(n: int, num: tuple[int, ...], den: int, prec: int) -> Interval:
-    iv = mpmath.iv
-    old = iv.prec
-    iv.prec = prec + 12
-    try:
-        cosines = _cos_intervals(n, len(num), iv.prec)
-        total = iv.mpf(0)
-        for j, c in enumerate(num):
-            if c:
-                if j == 0:
-                    total += c
-                else:
-                    total += c * cosines[j]
-        total /= den
-        lo_raw, hi_raw = total._mpi_
-        return Interval(
-            lo=mpmath.mp.make_mpf(lo_raw),
-            hi=mpmath.mp.make_mpf(hi_raw),
-            precision_bits=prec,
-        )
-    finally:
-        iv.prec = old
+def _eval_interval(n: int, num: tuple[int, ...], den: int, prec: int) -> tuple:
+    """(s, err): value * den * 2**prec lies in [s - err, s + err].  Call it
+    by its module name: perfbench/tracing.py wraps it there."""
+    cosines = _cos_floors(n, len(num), prec)
+    s = sum(c * C for c, C in zip(num, cosines))
+    return s, 2 * sum(abs(c) for c in num[1:])
 
 
 # ---------------------------------------------------------------------------
 # the number type
-
-
-def _gcd_many(values) -> int:
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    return g
 
 
 class CyclotomicReal:
@@ -201,7 +182,7 @@ class CyclotomicReal:
     n-th cyclotomic polynomial, and den is a positive int.
     """
 
-    __slots__ = ("n", "num", "den", "_key", "_iv64")
+    __slots__ = ("n", "num", "den", "_key")
 
     def __init__(self, n: int, num, den: int, _trusted: bool = False):
         if den == 0:
@@ -213,7 +194,7 @@ class CyclotomicReal:
         ctx = _context(n)
         if len(num) != ctx.phi:
             num = ctx.reduce(num)
-        g = math.gcd(_gcd_many(num), den)
+        g = math.gcd(*num, den)
         if g > 1:
             num = [c // g for c in num]
             den //= g
@@ -221,7 +202,6 @@ class CyclotomicReal:
         self.num = tuple(num)
         self.den = den
         self._key = None
-        self._iv64 = None
         if not _trusted and not self._is_conjugation_fixed():
             raise ExactError("value is not real (not fixed by conjugation)")
 
@@ -306,9 +286,7 @@ class CyclotomicReal:
         sol = _solve_rational_system(cols, ctxn.phi, target)
         if sol is None:
             return None
-        den = 1
-        for s in sol:
-            den = den * s.denominator // math.gcd(den, s.denominator)
+        den = math.lcm(*(s.denominator for s in sol))
         num = [int(s * den) for s in sol]
         return CyclotomicReal(m, num, den, _trusted=True)
 
@@ -399,9 +377,7 @@ class CyclotomicReal:
         sol = _solve_rational_system(cols, phi, target)
         if sol is None:
             raise ArithmeticError("inverse solve failed")  # pragma: no cover
-        den = 1
-        for s in sol:
-            den = den * s.denominator // math.gcd(den, s.denominator)
+        den = math.lcm(*(s.denominator for s in sol))
         num = [int(s * den) * self.den for s in sol]
         return CyclotomicReal(n, num, den, _trusted=True)
 
@@ -450,12 +426,11 @@ class CyclotomicReal:
         return hash(self.key())
 
     def interval(self, precision_bits: int = _MIN_PREC) -> Interval:
-        if precision_bits == _MIN_PREC and self._iv64 is not None:
-            return self._iv64
-        iv = _eval_interval(self.n, self.num, self.den, precision_bits)
-        if precision_bits == _MIN_PREC:
-            self._iv64 = iv
-        return iv
+        s, err = _eval_interval(self.n, self.num, self.den, precision_bits)
+        scale = self.den << precision_bits
+        return Interval(
+            Fraction(s - err, scale), Fraction(s + err, scale), precision_bits
+        )
 
     def sign(self) -> int:
         """Certified sign: -1, 0 or 1."""
@@ -463,11 +438,9 @@ class CyclotomicReal:
             return 0
         prec = _MIN_PREC
         while True:
-            iv = self.interval(prec)
-            if iv.lo > 0:
-                return 1
-            if iv.hi < 0:
-                return -1
+            s, err = _eval_interval(self.n, self.num, self.den, prec)
+            if abs(s) > err:
+                return 1 if s > 0 else -1
             prec *= 2
 
     def __lt__(self, other):
@@ -498,20 +471,22 @@ class CyclotomicReal:
         return not self.is_zero
 
     def __float__(self):
-        iv = self.interval(_MIN_PREC)
-        return float((iv.lo + iv.hi) / 2)
+        s, _ = _eval_interval(self.n, self.num, self.den, _MIN_PREC)
+        return s / (self.den << _MIN_PREC)
 
     def decimal(self, digits: int = 50) -> str:
-        """Decimal string correct to the requested number of digits."""
-        prec = max(_MIN_PREC, int(digits * 3.4) + 32)
-        iv = self.interval(prec)
-        old = mpmath.mp.prec
-        mpmath.mp.prec = prec
-        try:
-            mid = (iv.lo + iv.hi) / 2
-            return mpmath.nstr(mid, digits, strip_zeros=False)
-        finally:
-            mpmath.mp.prec = old
+        """Decimal string correct to the requested number of significant
+        digits: the enclosure is refined to a relative radius of at most
+        2**(-3.4 * digits)."""
+        bits = int(digits * 3.4)
+        prec = max(_MIN_PREC, bits + 32)
+        while True:
+            s, err = _eval_interval(self.n, self.num, self.den, prec)
+            if abs(s) >> bits >= err:
+                break
+            prec *= 2
+        mid = libmp.from_rational(s, self.den << prec, prec, "n")
+        return libmp.to_str(mid, digits, strip_zeros=False)
 
     # -- queries -------------------------------------------------------------
 
@@ -567,7 +542,7 @@ def _solve_rational_system(cols, nrows: int, target):
             f = row[c]
             if i != r and f:
                 row = [pv * x - f * y for x, y in zip(row, prow)]
-                g = _gcd_many(row)
+                g = math.gcd(*row)
                 mat[i] = [x // g for x in row] if g > 1 else row
         pivot_cols.append(c)
         r += 1
@@ -695,11 +670,17 @@ def _tokenize(text: str):
     return tokens
 
 
+# Deepest nesting (parentheses, trig calls, unary minus) that
+# parse_constant accepts: each level takes four Python stack frames.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -752,10 +733,16 @@ class _Parser:
 
     def factor(self) -> CyclotomicReal:
         kind, value, position = self.peek()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nested deeper than {MAX_NESTING}", position)
         if kind == _TOKEN_OP and value == "-":
             self.next()
-            return -self.factor()
-        return self.atom()
+            result = -self.factor()
+        else:
+            result = self.atom()
+        self.depth -= 1
+        return result
 
     def atom(self) -> CyclotomicReal:
         kind, value, position = self.next()
@@ -784,6 +771,7 @@ def parse_constant(text: str) -> CyclotomicReal:
     """Parse an exact constant expression.
 
     Grammar: integers, sin(q)/cos(q) with rational q meaning
-    sin(q*pi)/cos(q*pi), operators + - * / and parentheses.
+    sin(q*pi)/cos(q*pi), operators + - * / and parentheses.  Nesting
+    deeper than MAX_NESTING levels is a ParseError.
     """
     return _Parser(text).parse()

@@ -14,7 +14,7 @@ import os
 import tempfile
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicReal, embed, parse_constant
+from .cyclotomic import CyclotomicReal, ParseError, embed, parse_constant
 from .polygons import Edge, Polygon, triangle_from_angles
 
 F = Fraction
@@ -43,7 +43,10 @@ def cyc_from_json(doc) -> CyclotomicReal:
     if isinstance(doc, int):
         return embed(doc)
     if isinstance(doc, str):
-        return parse_constant(doc)
+        try:
+            return parse_constant(doc)
+        except (ParseError, ZeroDivisionError) as exc:
+            raise FormatError(str(exc)) from exc
     if isinstance(doc, dict) and "conductor" in doc and "coeffs" in doc:
         n = doc["conductor"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:

@@ -99,15 +99,14 @@ class Polygon:
 
     __slots__ = ("edges", "_vertices", "_angles", "_key")
 
-    def __init__(self, edges, validate: bool = True):
+    def __init__(self, edges):
         self.edges = tuple(
             e if isinstance(e, Edge) else Edge(*e) for e in edges
         )
         self._vertices = None
         self._angles = None
         self._key = None
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- derived geometry ----------------------------------------------------
 

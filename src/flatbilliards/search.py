@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .catalog import CatalogEntry
 from .covers import analyze_cover, appropriate_verdict, tile_by_words
-from .periodicity import classify_point, default_directions
+from .periodicity import classify_points, default_directions
 from .polygons import LinearMap, group_of
 from .unfolding import unfold
 
@@ -149,8 +149,9 @@ class _StatusOracle(dict):
 
     Classes at the angles named in the catalog facts try the recorded
     split direction first, then the default direction list; anything
-    else tries the default list only.  Results are memoized so each
-    class is classified at most once.
+    else tries the default list only.  The first miss classifies every
+    class of its kind in one `classify_points` call, so each direction
+    is decomposed at most once per kind.
     """
 
     def __init__(self, M, facts):
@@ -160,15 +161,18 @@ class _StatusOracle(dict):
         self.cps = {cp.class_id: cp for cp in M.cone_points()}
 
     def __missing__(self, cid):
-        cp = self.cps[cid]
         known = set(self.facts.get("non_periodic_vertex_angles", ()))
         split = self.facts.get("split_direction")
+        kind = {c: split is not None and cp.angle.multiple in known
+                for c, cp in self.cps.items()}
         dirs = None
-        if split is not None and cp.angle.multiple in known:
+        if kind[cid]:
             dirs = [split] + [
                 d for d in default_directions(self.M) if d != split
             ]
-        self[cid] = classify_point(self.M, cp, directions=dirs).status
+        batch = [cp for c, cp in self.cps.items() if kind[c] == kind[cid]]
+        for c, verdict in classify_points(self.M, batch, dirs).items():
+            self[c] = verdict.status
         return self[cid]
 
 

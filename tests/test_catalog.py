@@ -4,6 +4,7 @@ import pytest
 
 from flatbilliards.catalog import (
     CatalogError,
+    l_shape,
     list_families,
     make_entry,
     quadrilateral_from_angles,
@@ -70,11 +71,11 @@ def test_parameter_ranges():
 
 
 def test_l_shape_reflex_vertex():
-    e = make_entry("8", lengths=(1, 2, F(1, 2), 1))
-    angs = [a.multiple for a in e.polygon.angles()]
-    assert angs.count(F(3, 2)) == 1
-    assert angs.count(F(1, 2)) == 5
-    assert e.facts["periodic_reason"] == "rotation_by_pi"
+    for P in (make_entry("8").polygon, l_shape((1, 2, F(1, 2), 1))):
+        angs = [a.multiple for a in P.angles()]
+        assert angs.count(F(3, 2)) == 1
+        assert angs.count(F(1, 2)) == 5
+    assert make_entry("8").facts["periodic_reason"] == "rotation_by_pi"
 
 
 def test_reflex_quadrilaterals_have_reflex_vertex():

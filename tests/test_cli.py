@@ -174,17 +174,42 @@ def _tiling(words, base=None):
         pytest.param(_tiling([[], [1.5]]), id="side-float"),
         pytest.param(_tiling([[], [True]]), id="side-bool"),
         pytest.param(_tiling([[]], {"triangle": 5}), id="triangle-not-a-list"),
+        pytest.param({"direction": "0", "length": "1/0"}, id="length-over-zero"),
+        # arguments to cylinders
+        pytest.param(("--length-bound", "1/0"), id="bound-over-zero"),
+        pytest.param(
+            ("--length-bound=" + "(" * 3000 + "1" + ")" * 3000,),
+            id="bound-deep-parentheses",
+        ),
+        pytest.param(
+            ("--length-bound=" + "-" * 3000 + "1",), id="bound-deep-minus"
+        ),
     ],
 )
 def test_malformed_input_is_a_format_error(tmp_path, capsys, edge):
-    # an edge goes into a square read by analyze; a tiling goes as it is
-    # to check-cover
-    command, doc = "analyze", _square(edge)
-    if isinstance(edge, dict) and "words" in edge:
-        command, doc = "check-cover", edge
-    path = tmp_path / "input.json"
-    path.write_text(json.dumps(doc))
-    code, doc, err = run(capsys, command, "--in", str(path))
+    # an edge goes into a square read by analyze, a tiling as it is to
+    # check-cover, and a tuple of arguments to cylinders
+    if isinstance(edge, tuple):
+        argv = ["cylinders", "--family", "2", "--n", "5", "--direction", "0"]
+        argv += edge
+    else:
+        command, doc = "analyze", _square(edge)
+        if isinstance(edge, dict) and "words" in edge:
+            command, doc = "check-cover", edge
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--in", str(path)]
+    code, doc, err = run(capsys, *argv)
+    assert code == 1 and doc is None
+    assert err["error"] == "FormatError"
+
+
+@pytest.mark.parametrize("vertex", ["7", "-1", "3"])
+def test_nonperiodic_test_vertex_out_of_range(capsys, vertex):
+    code, doc, err = run(
+        capsys, "nonperiodic-test", "--family", "2", "--n", "5",
+        "--vertex=" + vertex,
+    )
     assert code == 1 and doc is None
     assert err["error"] == "FormatError"
 

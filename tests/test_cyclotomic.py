@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +131,79 @@ def test_interval_brackets_float():
         iv = v.interval(64)
         truth = math.cos(math.pi * m / n)
         assert float(iv.lo) - 1e-12 <= truth <= float(iv.hi) + 1e-12
+
+
+def _trig_combinations(count=200, seed=11):
+    """Seeded sums of r*cos(q*pi) and r*sin(q*pi) at conductors up to 30,
+    each with its closed form evaluated by mpmath at 300 bits; every
+    third one has a 3-digit rational approximation of itself taken
+    away, so it nearly cancels."""
+    rng = random.Random(seed)
+    out = []
+    with mpmath.workprec(300):
+        while len(out) < count:
+            d = rng.randrange(1, 16)
+            v, ref = cy.embed(0), mpmath.mpf(0)
+            # cos(k*pi/d) lies at conductor 2d, sin(k*pi/d) at 4d for odd d
+            sin_ok = d % 2 == 0 or d <= 7
+            for _ in range(rng.randrange(1, 4)):
+                q = F(rng.randrange(0, 2 * d), d)
+                r = F(rng.randrange(-9, 10), rng.randrange(1, 6))
+                kind = "sin" if sin_ok and rng.random() < 0.5 else "cos"
+                f = mpmath.sin if kind == "sin" else mpmath.cos
+                v += r * cy.trig_of_rational_angle(q, kind)
+                ref += _mpf(r) * f(mpmath.pi * _mpf(q))
+            if len(out) % 3 == 2:
+                approx = F(int(mpmath.nint(ref * 1000)), 1000)
+                v -= approx
+                ref -= _mpf(approx)
+            assert v.n <= 30
+            out.append((v, ref))
+    return out
+
+
+def _mpf(q: F):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _exact(x) -> F:
+    return F(*mpmath.libmp.to_rational(x._mpf_))
+
+
+def test_enclosures_sign_and_decimal_match_closed_forms():
+    tol = F(1, 2**280)  # the 300-bit closed form's own error is far below
+    for v, ref in _trig_combinations():
+        truth = _exact(ref)
+        for prec in (64, 128):
+            iv = v.interval(prec)
+            assert iv.lo - tol <= truth <= iv.hi + tol
+        if abs(truth) < tol:
+            assert v.sign() == 0 and v.decimal(50) == "0.0"
+            continue
+        assert v.sign() == (1 if truth > 0 else -1)
+        with mpmath.workprec(300):
+            assert v.decimal(50) == mpmath.nstr(ref, 50, strip_zeros=False)
+
+
+def test_results_ignore_mpmath_global_precision(monkeypatch):
+    values = [v for v, _ in _trig_combinations()]
+
+    def results():
+        return [
+            (v.sign(), v.decimal(50), v.interval(64), float(v)) for v in values
+        ]
+
+    before = results()
+    # rebuild the cosine tables while the caller's precision is low
+    monkeypatch.setattr(cy, "_COS_FLOORS", {})
+    saved = mpmath.mp.prec, mpmath.iv.prec
+    mpmath.mp.prec = mpmath.iv.prec = 30
+    try:
+        after = results()
+        assert (mpmath.mp.prec, mpmath.iv.prec) == (30, 30)
+    finally:
+        mpmath.mp.prec, mpmath.iv.prec = saved
+    assert after == before
 
 
 def test_decimal_digits():

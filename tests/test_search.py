@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from flatbilliards import periodicity
 from flatbilliards.catalog import make_entry
 from flatbilliards.covers import analyze_cover, tile_by_words
 from flatbilliards.periodicity import classify_point, default_directions
@@ -316,3 +317,19 @@ def test_status_oracle_tries_split_then_defaults(family, n):
         if v is None or v.status == "unknown":
             v = classify_point(M, cp)
         assert oracle[cp.class_id] == v.status
+
+
+def test_status_oracle_decomposes_each_direction_once(monkeypatch):
+    # 6 n=5 has two classes at the known angle pi/5: the first miss
+    # classifies both against the split direction in one call
+    decomposed = []
+    real = periodicity.cylinder_decomposition
+
+    def counting(M, theta):
+        decomposed.append(F(theta) % 2)
+        return real(M, theta)
+
+    monkeypatch.setattr(periodicity, "cylinder_decomposition", counting)
+    r = search_appropriate(make_entry("6", 5), 8)
+    assert r.statistics["nodes"] > 0
+    assert decomposed == [F(1, 10)]
