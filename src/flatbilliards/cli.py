@@ -273,6 +273,8 @@ def _cmd_catalog(args) -> int:
 def _cmd_search(args) -> int:
     from .search import search_appropriate
 
+    if min(args.max_copies, args.max_nodes) < 1:
+        raise fileio.FormatError("--max-copies and --max-nodes must be >= 1")
     entry = make_entry(args.family, args.n)
     report = search_appropriate(
         entry, args.max_copies, cls=args.cls, max_nodes=args.max_nodes

@@ -10,8 +10,21 @@ enclosure: at precision p, sum c_j*C_j with each integer C_j less than
 Johansson's Arb).  A sign doubles p until the enclosure excludes 0, so
 no result depends on floating point.
 
+The canonical form of a value (`key()`) is its power basis form at the
+smallest conductor whose field holds it, over a positive denominator
+prime to the coefficients; this form is unique.  It is reached by prime
+descent: for each prime p of n, step to n/p while the value lies in
+Q(zeta_{n/p}), a test that reads coefficients (`_descend`).  The
+conductors whose fields hold a value are closed under gcd, so one pass
+over the primes reaches the smallest.
+
 Square roots are not a primitive: surd identities are verified by
 polynomial relations on trig combinations instead.
+
+The module's tables (_CONTEXTS and _CYCLO_CACHE per conductor,
+_COS_FLOORS per conductor and precision, _TRIG_CACHE per angle) are
+never evicted: in a long-lived process they grow with each new
+conductor, precision and angle.
 """
 
 from __future__ import annotations
@@ -35,8 +48,17 @@ class ExactError(ValueError):
 # cyclotomic polynomials and per-conductor reduction data
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, in increasing order."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
     return out
 
 
@@ -124,6 +146,34 @@ def _context(n: int) -> _Context:
         ctx = _Context(n)
         _CONTEXTS[n] = ctx
     return ctx
+
+
+def _descend(n: int, num, p: int):
+    """The coefficients at conductor m = n/p (p a prime dividing n) of
+    the value with coefficients num at conductor n, or None if the value
+    is not in Q(zeta_m)."""
+    m = n // p
+    if m % p == 0:
+        # Phi_n(x) = Phi_m(x**p): 1, zeta_n, .., zeta_n**(p-1) is a basis
+        # of Q(zeta_n) over Q(zeta_m), with the coefficient of zeta_n**s
+        # read from num[s::p]
+        if any(any(num[s::p]) for s in range(1, p)):
+            return None
+        return num[::p]
+    # zeta_n**j = zeta_m**(j*a) * zeta_p**(j*b), so the value is
+    # sum_r A_r*zeta_p**r with A_r in Q(zeta_m).  Q(zeta_m) and Q(zeta_p)
+    # meet in Q, so 1, zeta_p, .., zeta_p**(p-2) is a basis over
+    # Q(zeta_m) and zeta_p**(p-1) = -(1 + .. + zeta_p**(p-2)): the value
+    # is in Q(zeta_m) iff A_1 = .. = A_(p-1), and is then A_0 - A_1.
+    a, b = pow(p, -1, m), pow(m, -1, p)
+    parts = [[0] * m for _ in range(p)]
+    for j, c in enumerate(num):
+        if c:
+            parts[j * b % p][j * a % m] += c
+    a0, a1, *rest = map(_context(m).reduce, parts)
+    if any(ar != a1 for ar in rest):
+        return None
+    return [x - y for x, y in zip(a0, a1)]
 
 
 # ---------------------------------------------------------------------------
@@ -214,21 +264,14 @@ class CyclotomicReal:
 
     # -- representation helpers --------------------------------------------
 
-    def _galois(self, k: int) -> "CyclotomicReal":
-        """Apply zeta_n -> zeta_n**k (k coprime to n)."""
+    def _is_conjugation_fixed(self) -> bool:
         n = self.n
+        if n <= 2:
+            return True
         coeffs = [0] * n
         for j, c in enumerate(self.num):
-            if c:
-                coeffs[(j * k) % n] += c
-        ctx = _context(n)
-        return CyclotomicReal(n, ctx.reduce(coeffs), self.den, _trusted=True)
-
-    def _is_conjugation_fixed(self) -> bool:
-        if self.n <= 2:
-            return True
-        conj = self._galois(self.n - 1)
-        return conj.num == self.num and conj.den == self.den
+            coeffs[-j % n] += c
+        return tuple(_context(n).reduce(coeffs)) == self.num
 
     def lift(self, m: int) -> "CyclotomicReal":
         """Rewrite at conductor m (n must divide m)."""
@@ -249,46 +292,15 @@ class CyclotomicReal:
         return not any(self.num)
 
     def _canonical(self) -> "CyclotomicReal":
-        """Rewrite at the smallest conductor dividing n that contains it."""
-        n = self.n
-        if n == 1:
-            return self
-        for m in _divisors(n)[:-1]:
-            if self._fixed_by_subfield_galois(m) is False:
-                continue
-            reduced = self._rewrite_in_subfield(m)
-            if reduced is not None:
-                return reduced
-        return self
-
-    def _fixed_by_subfield_galois(self, m: int) -> bool:
-        n = self.n
-        for k in range(1, n):
-            if k % m == 1 % m and math.gcd(k, n) == 1 and k != 1:
-                g = self._galois(k)
-                if g.num != self.num or g.den != self.den:
-                    return False
-        return True
-
-    def _rewrite_in_subfield(self, m: int):
-        """Express self in the power basis of zeta_m, or None if not there."""
-        n = self.n
-        ctxn = _context(n)
-        phi_m = _context(m).phi
-        step = n // m
-        # columns: zeta_m**j lifted to conductor n
-        cols = []
-        for j in range(phi_m):
-            coeffs = [0] * (j * step + 1)
-            coeffs[j * step] = 1
-            cols.append(ctxn.reduce(coeffs))
-        target = [Fraction(c, self.den) for c in self.num]
-        sol = _solve_rational_system(cols, ctxn.phi, target)
-        if sol is None:
-            return None
-        den = math.lcm(*(s.denominator for s in sol))
-        num = [int(s * den) for s in sol]
-        return CyclotomicReal(m, num, den, _trusted=True)
+        """Rewrite at the smallest conductor whose field contains it."""
+        n, num = self.n, self.num
+        for p in prime_factors(n):
+            while n % p == 0:
+                down = _descend(n, num, p)
+                if down is None:
+                    break
+                n, num = n // p, down
+        return CyclotomicReal(n, num, self.den, _trusted=True)
 
     def key(self):
         """Canonical hashable key: equal values share equal keys."""
@@ -365,18 +377,8 @@ class CyclotomicReal:
             raise ZeroDivisionError("division by exact zero")
         n = self.n
         ctx = _context(n)
-        phi = ctx.phi
-        if phi == 1:
-            return CyclotomicReal(n, [self.den], self.num[0], _trusted=True)
-        rows = ctx.rows_upto(2 * phi - 2)
-        cols = []
-        for j in range(phi):
-            shifted = [0] * j + list(self.num)
-            cols.append(ctx.reduce(shifted))
-        target = [Fraction(1)] + [Fraction(0)] * (phi - 1)
-        sol = _solve_rational_system(cols, phi, target)
-        if sol is None:
-            raise ArithmeticError("inverse solve failed")  # pragma: no cover
+        cols = [ctx.reduce([0] * j + list(self.num)) for j in range(ctx.phi)]
+        sol = _solve_unit_system(cols)
         den = math.lcm(*(s.denominator for s in sol))
         num = [int(s * den) * self.den for s in sol]
         return CyclotomicReal(n, num, den, _trusted=True)
@@ -471,8 +473,16 @@ class CyclotomicReal:
         return not self.is_zero
 
     def __float__(self):
-        s, _ = _eval_interval(self.n, self.num, self.den, _MIN_PREC)
-        return s / (self.den << _MIN_PREC)
+        """Correctly rounded: refine until both ends of the enclosure round
+        alike.  Irrationals are no rounding midpoints; rationals have err 0."""
+        prec = _MIN_PREC
+        while True:
+            s, err = _eval_interval(self.n, self.num, self.den, prec)
+            scale = self.den << prec
+            lo = (s - err) / scale
+            if lo == (s + err) / scale:
+                return lo
+            prec *= 2
 
     def decimal(self, digits: int = 50) -> str:
         """Decimal string correct to the requested number of significant
@@ -510,52 +520,29 @@ class CyclotomicReal:
         return c.n, [f"{x}/{c.den}" if c.den != 1 else str(x) for x in c.num]
 
 
-def _solve_rational_system(cols, nrows: int, target):
-    """Solve sum_j x_j*cols[j] = target over Q; None if inconsistent.
+def _solve_unit_system(cols) -> list[Fraction]:
+    """Solve sum_j x_j*cols[j] = e_0 for a nonsingular square system.
 
-    Fraction-free Gauss-Jordan elimination: rows stay integer (the
-    targets are scaled to a common denominator) and are divided by
-    their content after each step, so no Fraction enters the loop.
+    Fraction-free Gauss-Jordan elimination: rows stay integer and are
+    divided by their content after each step, so no Fraction enters the
+    loop.  Every column has a pivot, since the matrix is nonsingular.
     """
-    ncols = len(cols)
-    scale = 1
-    for t in target:
-        scale = scale * t.denominator // math.gcd(scale, t.denominator)
+    size = len(cols)
     # augmented matrix, rows = equations
-    mat = [[cols[j][i] for j in range(ncols)]
-           + [int(target[i] * scale)] for i in range(nrows)]
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if mat[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        prow = mat[r]
+    mat = [[col[i] for col in cols] + [int(i == 0)] for i in range(size)]
+    for c in range(size):
+        pivot = next(i for i in range(c, size) if mat[i][c])
+        mat[c], mat[pivot] = mat[pivot], mat[c]
+        prow = mat[c]
         pv = prow[c]
-        for i in range(nrows):
+        for i in range(size):
             row = mat[i]
             f = row[c]
-            if i != r and f:
+            if i != c and f:
                 row = [pv * x - f * y for x, y in zip(row, prow)]
                 g = math.gcd(*row)
                 mat[i] = [x // g for x in row] if g > 1 else row
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    # consistency
-    for i in range(r, nrows):
-        if mat[i][ncols]:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivot_cols):
-        sol[c] = Fraction(mat[i][ncols], mat[i][c] * scale)
-    return sol
+    return [Fraction(mat[i][size], mat[i][i]) for i in range(size)]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import tempfile
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicReal, ParseError, embed, parse_constant
+from .cyclotomic import prime_factors
 from .polygons import Edge, Polygon, triangle_from_angles
 
 F = Fraction
@@ -69,15 +70,9 @@ def cyc_from_json(doc) -> CyclotomicReal:
 
 def _totient(n: int) -> int:
     """Euler's phi: the number of coefficients at conductor n."""
-    out, m, p = n, n, 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            out -= out // p
-        p += 1
-    if m > 1:
-        out -= out // m
+    out = n
+    for p in prime_factors(n):
+        out -= out // p
     return out
 
 
@@ -87,6 +82,10 @@ def fraction_to_str(q) -> str:
 
 
 def fraction_from_str(text) -> Fraction:
+    """A rational from a string or a JSON integer; a float or a boolean
+    is refused, as it does not hold the exact value written."""
+    if isinstance(text, (float, bool)):
+        raise FormatError(f"not an exact rational number: {text!r}")
     try:
         return F(text)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:

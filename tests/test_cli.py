@@ -175,6 +175,21 @@ def _tiling(words, base=None):
         pytest.param(_tiling([[], [True]]), id="side-bool"),
         pytest.param(_tiling([[]], {"triangle": 5}), id="triangle-not-a-list"),
         pytest.param({"direction": "0", "length": "1/0"}, id="length-over-zero"),
+        # JSON floats and booleans do not hold an exact rational
+        pytest.param(
+            {"direction": "0", "length": {"conductor": 1, "coeffs": [0.1]}},
+            id="coefficient-float",
+        ),
+        pytest.param(
+            {"direction": "0", "length": {"conductor": 1, "coeffs": [True]}},
+            id="coefficient-bool",
+        ),
+        pytest.param({"direction": 0.0, "length": "1"}, id="direction-float"),
+        pytest.param({"direction": False, "length": "1"}, id="direction-bool"),
+        pytest.param(
+            _tiling([[]], {"triangle": [0.5, 0.125, 0.375]}),
+            id="triangle-float",
+        ),
         # arguments to cylinders
         pytest.param(("--length-bound", "1/0"), id="bound-over-zero"),
         pytest.param(
@@ -243,6 +258,21 @@ def test_search_cli(capsys):
     )
     assert code == 0
     assert doc["outcome"] == "none_found"
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-copies", "0"), ("--max-copies", "-3"),
+     ("--max-nodes", "0"), ("--max-nodes", "-1")],
+)
+def test_search_bound_below_one_is_a_format_error(capsys, flag, value):
+    bounds = {"--max-copies": "4", "--max-nodes": "100", flag: value}
+    code, doc, err = run(
+        capsys, "search-appropriate", "--family", "2", "--n", "5",
+        *(f"{k}={v}" for k, v in bounds.items()),
+    )
+    assert code == 1 and doc is None
+    assert err["error"] == "FormatError"
 
 
 def test_domain_error_exit_code(capsys):

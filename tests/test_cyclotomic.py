@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatbilliards import cyclotomic as cy
+from flatbilliards import fileio
 
 
 def test_cos_pi_third_is_half():
@@ -100,6 +101,63 @@ def test_conductor_minimization():
     assert (cy.cos_pi(F(1, 3)) * 2).key() == (1, (1,), 1)
 
 
+def _sqrt(k: int):
+    """sqrt(k) for squarefree k | 30, from cos(pi/4), cos(pi/6), cos(pi/5)."""
+    roots = {
+        2: 2 * cy.cos_pi(F(1, 4)),
+        3: 2 * cy.cos_pi(F(1, 6)),
+        5: 4 * cy.cos_pi(F(1, 5)) - 1,
+    }
+    out = cy.embed(1)
+    for p, root in roots.items():
+        if k % p == 0:
+            out *= root
+    return out
+
+
+def _sqrt7():
+    """The Gauss sum sum_a (a/7)*sin(2*pi*a/7) = sqrt(7)."""
+    return sum(
+        (-1 if a in (3, 5, 6) else 1) * cy.sin_pi(F(2 * a, 7))
+        for a in range(1, 7)
+    )
+
+
+# closed forms with the smallest conductor of a cyclotomic field that
+# holds them: Q(sqrt d) has the conductor of its discriminant, and
+# cos(pi/k) generates the real subfield of Q(zeta_2k) (or Q(zeta_k), k odd)
+_CONDUCTORS = [
+    pytest.param(lambda: _sqrt(2), 8, id="sqrt2"),
+    pytest.param(lambda: _sqrt(3), 12, id="sqrt3"),
+    pytest.param(lambda: _sqrt(5), 5, id="sqrt5"),
+    pytest.param(lambda: _sqrt(6), 24, id="sqrt6"),
+    pytest.param(lambda: _sqrt(10), 40, id="sqrt10"),
+    pytest.param(lambda: _sqrt(15), 60, id="sqrt15"),
+    pytest.param(lambda: _sqrt(30), 120, id="sqrt30"),
+    pytest.param(_sqrt7, 28, id="sqrt7"),
+    pytest.param(lambda: cy.cos_pi(F(1, 7)), 7, id="cos-pi/7"),
+    pytest.param(lambda: cy.cos_pi(F(1, 9)), 9, id="cos-pi/9"),
+    pytest.param(lambda: cy.cos_pi(F(1, 10)), 20, id="cos-pi/10"),
+    pytest.param(lambda: cy.cos_pi(F(1, 12)), 24, id="cos-pi/12"),
+    pytest.param(lambda: cy.cos_pi(F(1, 15)), 15, id="cos-pi/15"),
+    pytest.param(lambda: _sqrt(2) * cy.cos_pi(F(1, 7)), 56, id="sqrt2-cos-pi/7"),
+    pytest.param(lambda: cy.embed(F(3, 7)), 1, id="3/7"),
+]
+
+
+@pytest.mark.parametrize("make, conductor", _CONDUCTORS)
+def test_key_has_the_smallest_conductor(make, conductor):
+    v = make()
+    key = v.key()
+    assert key[0] == conductor
+    for k in (2, 3, 4, 5, 9):
+        lifted = v.lift(v.n * k)
+        assert lifted.key() == key
+        n, coeffs = lifted.to_pair()
+        doc = {"conductor": n, "coeffs": coeffs}
+        assert fileio.cyc_from_json(doc).key() == key
+
+
 def test_trig_conductor_bound():
     for q in [F(1, 3), F(2, 9), F(7, 15), F(5, 12), F(1, 2)]:
         for kind in ("cos", "sin"):
@@ -181,6 +239,7 @@ def test_enclosures_sign_and_decimal_match_closed_forms():
             assert v.sign() == 0 and v.decimal(50) == "0.0"
             continue
         assert v.sign() == (1 if truth > 0 else -1)
+        assert float(v) == float(ref)  # correctly rounded
         with mpmath.workprec(300):
             assert v.decimal(50) == mpmath.nstr(ref, 50, strip_zeros=False)
 
