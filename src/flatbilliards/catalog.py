@@ -115,6 +115,10 @@ def _require(cond: bool, msg: str):
 
 def make_entry(family: str, n: int | None = None) -> CatalogEntry:
     family = str(family)
+    _require(
+        n is None or family not in ("5a", "5b", "5c", "7", "8", "10"),
+        f"family {family} takes no parameter n",
+    )
     facts: dict = {"lattice": True}
     if family == "1":
         _require(n is not None and n >= 3, "family 1 needs n >= 3")

@@ -14,7 +14,12 @@ from fractions import Fraction
 
 from . import fileio
 from .catalog import CatalogError, list_families, make_entry
-from .covers import analyze_cover, appropriate_verdict, tile_by_words
+from .covers import (
+    analyze_cover,
+    appropriate_verdict,
+    motions_from_words,
+    tile_by_words,
+)
 from .cyclotomic import is_rational
 from .flow import NotShownPeriodic, cylinder_decomposition
 from .periodicity import classify_points
@@ -76,7 +81,7 @@ def _cmd_unfold(args) -> int:
     if args.out:
         fileio.write_json(args.out, fileio.surface_to_json(M))
     if args.svg:
-        fileio.svg_of_polygons(fileio.face_outlines(M), args.svg)
+        fileio.svg_of_polygons([f.vertices for f in M.faces], args.svg)
     _print(
         {
             "faces": len(M.faces),
@@ -117,11 +122,11 @@ def _cmd_cylinders(args) -> int:
     P = _load_polygon(args)
     M = unfold(P)
     theta = fileio.fraction_from_str(args.direction)
-    bound = (
-        fileio.cyc_from_json(args.length_bound)
-        if args.length_bound
-        else None
-    )
+    bound = None
+    if args.length_bound:
+        bound = fileio.cyc_from_json(args.length_bound)
+        if bound.sign() <= 0:
+            raise fileio.FormatError("--length-bound must be > 0")
     dec = cylinder_decomposition(M, theta, bound)
     doc = {
         "direction": fileio.fraction_to_str(theta),
@@ -238,13 +243,7 @@ def _cmd_check_cover(args) -> int:
     if args.out:
         fileio.write_json(args.out, doc)
     if args.svg:
-        fileio.svg_of_polygons(
-            [
-                [(float(v[0]), float(v[1])) for v in verts]
-                for verts in t.copy_vertices
-            ],
-            args.svg,
-        )
+        fileio.svg_of_polygons(t.copy_vertices, args.svg)
     _print(doc)
     return 0
 
@@ -296,13 +295,16 @@ def _cmd_search(args) -> int:
         import os
 
         os.makedirs(args.svg_dir, exist_ok=True)
+        verts = entry.polygon.vertices()
         i = 0
         for tag, word_lists in report.rejected.items():
             slug = tag.replace(" ", "-").replace("(", "").replace(")", "")
             for words in word_lists:
-                outlines = fileio.replay_copy_outlines(entry.polygon, words)
                 fileio.svg_of_polygons(
-                    outlines,
+                    [
+                        [mo.apply(v) for v in verts]
+                        for mo in motions_from_words(entry.polygon, words)
+                    ],
                     f"{args.svg_dir}/{slug}-{i:03d}.svg",
                 )
                 i += 1

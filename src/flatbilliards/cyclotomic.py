@@ -375,13 +375,14 @@ class CyclotomicReal:
     def inverse(self) -> "CyclotomicReal":
         if self.is_zero:
             raise ZeroDivisionError("division by exact zero")
-        n = self.n
-        ctx = _context(n)
-        cols = [ctx.reduce([0] * j + list(self.num)) for j in range(ctx.phi)]
+        # eliminate at the smallest conductor: the system is phi x phi
+        c = self.canonical()
+        ctx = _context(c.n)
+        cols = [ctx.reduce([0] * j + list(c.num)) for j in range(ctx.phi)]
         sol = _solve_unit_system(cols)
         den = math.lcm(*(s.denominator for s in sol))
-        num = [int(s * den) * self.den for s in sol]
-        return CyclotomicReal(n, num, den, _trusted=True)
+        num = [int(s * den) * c.den for s in sol]
+        return CyclotomicReal(c.n, num, den, _trusted=True).lift(self.n)
 
     def __truediv__(self, other):
         other = self._coerce(other)

@@ -227,8 +227,9 @@ def _fmt(x: float) -> str:
 
 
 def svg_of_polygons(polygons, path: str, size: float = 640.0):
-    """Render closed polygons (lists of float coordinate pairs) scaled
-    into a square viewport, y axis pointing up."""
+    """Render closed polygons (lists of exact vertices) scaled into a
+    square viewport, y axis pointing up."""
+    polygons = [[(float(x), float(y)) for x, y in poly] for poly in polygons]
     xs = [p[0] for poly in polygons for p in poly]
     ys = [p[1] for poly in polygons for p in poly]
     if not xs:
@@ -261,35 +262,3 @@ def svg_of_polygons(polygons, path: str, size: float = 640.0):
         )
     parts.append("</svg>")
     atomic_write(path, "\n".join(parts) + "\n")
-
-
-def face_outlines(M):
-    """Float vertex loops for every face of an unfolded surface."""
-    return [
-        [(float(v[0]), float(v[1])) for v in f.vertices] for f in M.faces
-    ]
-
-
-def replay_copy_outlines(P: Polygon, words):
-    """Float vertex loops of the copies a list of reflection words
-    describes (each word reflects the current copy across one of its
-    own sides, starting from the base copy)."""
-    base = [(float(v[0]), float(v[1])) for v in P.vertices()]
-    k = len(base)
-    out = []
-    for word in words:
-        cur = list(base)
-        for s in word:
-            ax, ay = cur[s]
-            bx, by = cur[(s + 1) % k]
-            ux, uy = bx - ax, by - ay
-            norm = math.hypot(ux, uy)
-            ux, uy = ux / norm, uy / norm
-            nxt = []
-            for px, py in cur:
-                wx, wy = px - ax, py - ay
-                t = wx * ux + wy * uy
-                nxt.append((ax + 2 * t * ux - wx, ay + 2 * t * uy - wy))
-            cur = nxt
-        out.append(cur)
-    return out

@@ -6,11 +6,14 @@ x -> g.x + t of the base.  Its linear part g is a group element and its
 translation part t is kept exactly, as an integer vector over one
 cyclotomic field, so tilings that are congruent under a group element
 and a translation get the same key and each class is expanded once.
-Floats serve only the geometry around that key: overlap of copies,
-identity of vertex points, and the forced-move simulation (the
-polygons involved keep features far above the rounding scale).  Angles
-and vertex classes stay exact, and any surviving candidate is
-re-verified with exact arithmetic before it is reported.
+The same exact translation gives every placed vertex a packed exact
+key, and these keys alone decide which vertices, sides and copies
+coincide and which translations map copies onto copies.  Floats serve
+only as a guide: the overlap test of two copies and the order in which
+the forced-move simulation tries boundary points (the polygons involved
+keep features far above the rounding scale).  Angles and vertex
+classes stay exact, and any surviving candidate is re-verified with
+exact arithmetic before it is reported.
 
 Pruning rules are tagged and counted:
 
@@ -76,13 +79,8 @@ def _pack(coeffs, width):
 
 
 def _pkey(p):
+    """A float point rounded to a 1e-6 grid: the forced-move order."""
     return (round(p[0] * _ROUND) + 0, round(p[1] * _ROUND) + 0)
-
-
-def _reflect_point(a, u, p):
-    wx, wy = p[0] - a[0], p[1] - a[1]
-    t = wx * u[0] + wy * u[1]
-    return (a[0] + 2 * t * u[0] - wx, a[1] + 2 * t * u[1] - wy)
 
 
 def _sat_disjoint(A, B):
@@ -119,15 +117,22 @@ def _sat_disjoint(A, B):
 
 class _Copy:
     """The base placed by the motion x -> g.x + t, where g is group
-    element `lin`.  anchors[i] is the packed exact vector g_i.t."""
+    element `lin`.  anchors[i] is the packed exact vector g_i.t; group
+    element 0 is the identity, so anchors[0] is t itself.  vkeys[j] is
+    the packed exact position g.v_j + t of base vertex j, and `vset`
+    the set of them: these decide which vertices and copies coincide.
+    `verts` holds the same positions as floats, for overlap tests and
+    the forced-move order only."""
 
-    __slots__ = ("lin", "verts", "word", "vset", "anchors")
+    __slots__ = ("lin", "verts", "word", "vkeys", "vset", "anchors")
 
-    def __init__(self, lin, verts, word, anchors):
+    def __init__(self, lin, verts, word, anchors, origin):
+        """`origin` is the row E[lin] of packed vertex positions g.v_j."""
         self.lin = lin
         self.verts = verts
         self.word = word
-        self.vset = frozenset(_pkey(v) for v in verts)
+        self.vkeys = tuple(e + anchors[0] for e in origin)
+        self.vset = frozenset(self.vkeys)
         self.anchors = anchors
 
 
@@ -186,11 +191,7 @@ class _Search:
         self.G = group_of(base_polygon)
         self.N = self.G.N
         self.elements = self.G.elements()
-        verts = base_polygon.vertices()
-        self.k = len(verts)
-        self.base_verts = tuple(
-            (float(v[0]), float(v[1])) for v in verts
-        )
+        self.k = len(base_polygon.edges)
         self.angles = [a.multiple for a in base_polygon.angles()]
         self.M = statuses.M
         # class of the corner at base vertex v inside the copy whose
@@ -222,25 +223,38 @@ class _Search:
             ]
             for a in range(2 * self.N)
         ]
-        self.deltas = self._anchor_deltas(max_copies + _HORIZON)
+        self.E, self.fverts, self.deltas = self._anchor_deltas(
+            max_copies + _HORIZON
+        )
         self._admissible_q()
         self.convex_base = all(a < 1 for a in self.angles)
 
     def _anchor_deltas(self, longest_word):
-        """deltas[g][s][i]: what reflecting a copy with linear part g
-        across its side s adds to the anchor g_i.t.
+        """Vertex tables E and FV, and the anchor deltas.
 
-        Across side s the motion g.x + t becomes g'.x + t' with
-        g' = refl_lin[g][s] and t' = t + g.v_s - g'.v_s, so g_i.t gains
-        E[g_i.g][s] - E[g_i.g'][s], where E[h][j] = h.v_j.  E is exact:
-        both coordinates in the power basis of one cyclotomic field over
-        one common denominator.  A word of length w moves each
-        coefficient by at most 2*w*max|E|; the digit width keeps the
-        differences of such anchors injective for words up to
-        `longest_word` letters."""
+        E[h][j] is the exact position h.v_j of base vertex j under group
+        element h, packed: both coordinates in the power basis of one
+        cyclotomic field over one common denominator.  FV[h][j] is the
+        same point as floats.  deltas[g][s][i] is what reflecting a copy
+        with linear part g across its side s adds to the anchor g_i.t:
+        the motion g.x + t becomes g'.x + t' with g' = refl_lin[g][s]
+        and t' = t + g.v_s - g'.v_s, so g_i.t gains
+        E[g_i.g][s] - E[g_i.g'][s].
+
+        Digit bound.  Let B = max|E| over all coefficients.  A node,
+        forced moves included, holds at most `longest_word` copies, and
+        each move appends one letter to the word of an existing copy,
+        so a word has at most longest_word - 1 letters.  Each letter
+        moves every coefficient of t, and of each g_i.t, by at most 2B,
+        so |t| <= 2(longest_word - 1)B.  Two vertex keys E[g][j] + t
+        then differ by at most (4 longest_word - 2)B per coefficient,
+        and two anchors by at most 4(longest_word - 1)B.  Both stay
+        below 4 longest_word B < 2**(width - 1), so two packed keys or
+        anchors are equal exactly when their vectors are."""
         points = [
             [g.apply_vec(v) for v in self.P.vertices()] for g in self.elements
         ]
+        FV = [[(float(x), float(y)) for x, y in row] for row in points]
         n = math.lcm(*(c.n for row in points for p in row for c in p))
         points = [[[c.lift(n) for c in p] for p in row] for row in points]
         den = math.lcm(*(c.den for row in points for p in row for c in p))
@@ -252,7 +266,7 @@ class _Search:
         width = (4 * longest_word * bound).bit_length() + 1
         E = [[_pack(v, width) for v in row] for row in vecs]
         mult = self.mult
-        return [
+        deltas = [
             [
                 tuple(
                     E[mult[i][g]][s] - E[mult[i][self.refl_lin[g][s]]][s]
@@ -262,6 +276,7 @@ class _Search:
             ]
             for g in range(2 * self.N)
         ]
+        return E, FV, deltas
 
     # -- admissible reflection subgroups ----------------------------------
 
@@ -330,21 +345,20 @@ class _Search:
         sides = {}
         for ci, c in enumerate(node.copies):
             for s in range(self.k):
-                a = _pkey(c.verts[s])
-                b = _pkey(c.verts[(s + 1) % self.k])
-                sides.setdefault(frozenset((a, b)), []).append((ci, s))
+                ends = frozenset((c.vkeys[s], c.vkeys[(s + 1) % self.k]))
+                sides.setdefault(ends, []).append((ci, s))
         an.external = [own[0] for own in sides.values() if len(own) == 1]
         points = {}
         for ci, c in enumerate(node.copies):
             for v in range(self.k):
                 rec = points.setdefault(
-                    _pkey(c.verts[v]), {"corners": [], "ext": []}
+                    c.vkeys[v], {"corners": [], "ext": []}
                 )
                 rec["corners"].append((ci, v))
         for ci, s in an.external:
             c = node.copies[ci]
-            points[_pkey(c.verts[s])]["ext"].append((ci, s))
-            points[_pkey(c.verts[(s + 1) % self.k])]["ext"].append((ci, s))
+            points[c.vkeys[s]]["ext"].append((ci, s))
+            points[c.vkeys[(s + 1) % self.k]]["ext"].append((ci, s))
         for rec in points.values():
             labels = {v for _, v in rec["corners"]}
             rec["label"] = labels.pop() if len(labels) == 1 else None
@@ -373,16 +387,18 @@ class _Search:
     # -- moves ---------------------------------------------------------------
 
     def reflect_copy(self, node, ci, s):
+        """Copy ci reflected across its side s: the motion g.x + t
+        becomes g'.x + t' with t' = t + g.v_s - g'.v_s, exactly in the
+        anchors and as floats in the vertices (g.v_s + t is the float
+        vertex s, which the reflection fixes)."""
         c = node.copies[ci]
-        a = c.verts[s]
-        b = c.verts[(s + 1) % self.k]
-        ux, uy = b[0] - a[0], b[1] - a[1]
-        norm = math.hypot(ux, uy)
-        u = (ux / norm, uy / norm)
-        verts = tuple(_reflect_point(a, u, v) for v in c.verts)
+        lin = self.refl_lin[c.lin][s]
+        tx = c.verts[s][0] - self.fverts[lin][s][0]
+        ty = c.verts[s][1] - self.fverts[lin][s][1]
+        verts = tuple((x + tx, y + ty) for x, y in self.fverts[lin])
         delta = self.deltas[c.lin][s]
         anchors = tuple(x + d for x, d in zip(c.anchors, delta))
-        return _Copy(self.refl_lin[c.lin][s], verts, c.word + (s,), anchors)
+        return _Copy(lin, verts, c.word + (s,), anchors, self.E[lin])
 
     def legal_child(self, node, ci, s):
         """The reflected copy if placing it keeps interiors disjoint
@@ -466,18 +482,25 @@ class _Search:
         """Replay forced moves; True when the configuration repeats
         itself under a translation (an infinite forced strip).
 
-        The moves are chosen in the order of the given node: its float
-        vertex keys and its copy indices.  Congruent nodes can therefore
-        replay different moves, and whether the prune fires can depend
-        on which representative of a class the search keeps."""
+        Boundary points are tried in the order of the float position of
+        their first corner, rounded to a 1e-6 grid, and moves in the
+        order of copy indices.  This order is a heuristic choice, not an
+        identity test: which points coincide is decided by the exact
+        vertex keys.  Congruent nodes can replay different moves, and
+        whether the prune fires can depend on which representative of a
+        class the search keeps."""
         copies = list(node.copies)
+
+        def position(rec):
+            ci, v = rec["corners"][0]
+            return _pkey(copies[ci].verts[v])
+
         grown = 0
         while grown < horizon:
             sim = _Node(tuple(copies))
             an = self.analyze_node(sim)
             move = None
-            for key in sorted(an.boundary):
-                rec = an.boundary[key]
+            for rec in sorted(an.boundary.values(), key=position):
                 if rec["label"] is None:
                     continue
                 kk = len(rec["corners"])
@@ -505,35 +528,25 @@ class _Search:
         return False
 
     def _translation_recurrence(self, copies):
-        """Does some translation map at least four copies onto copies?"""
-        table = {(c.lin, tuple(sorted(c.vset))) for c in copies}
+        """Does some translation map at least four copies onto copies?
+
+        Copies with the same linear part coincide exactly when their
+        translations t do, so this counts the exact differences
+        t_k - t_c over ordered pairs of such copies.  A difference of
+        two anchors stays within the digit bound of `_anchor_deltas`;
+        an anchor shifted by a difference, t_c + d, need not."""
         by_lin = {}
         for c in copies:
-            by_lin.setdefault(c.lin, []).append(c)
-        seen_deltas = set()
-        for group in by_lin.values():
-            for i in range(len(group)):
-                for j in range(len(group)):
-                    if i == j:
-                        continue
-                    dx = group[j].verts[0][0] - group[i].verts[0][0]
-                    dy = group[j].verts[0][1] - group[i].verts[0][1]
-                    dk = _pkey((dx, dy))
-                    if dk == (0, 0) or dk in seen_deltas:
-                        continue
-                    seen_deltas.add(dk)
-                    hits = 0
-                    for c in copies:
-                        moved = tuple(
-                            sorted(
-                                _pkey((v[0] + dx, v[1] + dy))
-                                for v in c.verts
-                            )
-                        )
-                        if (c.lin, moved) in table:
-                            hits += 1
-                            if hits >= 4:
-                                return True
+            by_lin.setdefault(c.lin, []).append(c.anchors[0])
+        hits = {}
+        for ts in by_lin.values():
+            for tc in ts:
+                for tk in ts:
+                    if tk != tc:
+                        d = tk - tc
+                        hits[d] = hits.get(d, 0) + 1
+                        if hits[d] >= 4:
+                            return True
         return False
 
     # -- candidate evaluation -------------------------------------------------
@@ -581,10 +594,7 @@ _KEEP_TAGS = {
 
 def _root_copy(searcher: _Search) -> _Copy:
     return _Copy(
-        searcher.G.index_of(LinearMap.identity()),
-        searcher.base_verts,
-        (),
-        (0,) * (2 * searcher.N),
+        0, searcher.fverts[0], (), (0,) * (2 * searcher.N), searcher.E[0]
     )
 
 

@@ -65,6 +65,13 @@ def test_parameter_ranges():
         ("9b", 4),
         ("9b", 6),
         ("zzz", None),
+        # families without a parameter refuse one
+        ("5a", 7),
+        ("5b", 5),
+        ("5c", 9),
+        ("7", 12),
+        ("8", 1),
+        ("10", 4),
     ]:
         with pytest.raises(CatalogError):
             make_entry(fam, n)

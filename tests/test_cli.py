@@ -199,6 +199,8 @@ def _tiling(words, base=None):
         pytest.param(
             ("--length-bound=" + "-" * 3000 + "1",), id="bound-deep-minus"
         ),
+        pytest.param(("--length-bound", "-5"), id="bound-negative"),
+        pytest.param(("--length-bound", "0"), id="bound-zero"),
     ],
 )
 def test_malformed_input_is_a_format_error(tmp_path, capsys, edge):
@@ -273,6 +275,32 @@ def test_search_bound_below_one_is_a_format_error(capsys, flag, value):
     )
     assert code == 1 and doc is None
     assert err["error"] == "FormatError"
+
+
+def test_search_svg_dir_draws_each_retained_list(tmp_path, capsys):
+    code, doc, _ = run(
+        capsys, "search-appropriate", "--family", "2", "--n", "5",
+        "--max-copies", "4", "--svg-dir", str(tmp_path),
+    )
+    assert code == 0
+    lists = [w for kept in doc["rejected"].values() for w in kept]
+    figures = sorted(tmp_path.iterdir(), key=lambda p: p.stem[-3:])
+    assert lists and len(figures) == len(lists)
+    for words, path in zip(lists, figures):
+        assert path.read_text().count("<polygon ") == len(words)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("catalog", "--family", "5a", "--n", "7"),
+     ("catalog", "--family", "10", "--n", "4"),
+     ("search-appropriate", "--family", "5a", "--n", "9",
+      "--max-copies", "4")],
+)
+def test_parameterless_family_refuses_n(capsys, argv):
+    code, doc, err = run(capsys, *argv)
+    assert code == 1 and doc is None
+    assert err["error"] == "CatalogError"
 
 
 def test_domain_error_exit_code(capsys):

@@ -5,8 +5,9 @@ import pytest
 
 from flatbilliards import periodicity
 from flatbilliards.catalog import make_entry
-from flatbilliards.covers import analyze_cover, tile_by_words
+from flatbilliards.covers import analyze_cover, motion_from_word, tile_by_words
 from flatbilliards.periodicity import classify_point, default_directions
+from flatbilliards.planar import vkey
 from flatbilliards.search import (
     SearchReport,
     _Node,
@@ -202,6 +203,61 @@ def test_key_does_not_depend_on_the_base_copy(family, n):
             rerooted = [list(reversed(wj)) + list(wi) for wi in words]
             node = node_from_words(searcher, rerooted)
             assert searcher.canonical_key(node.copies) == key
+
+
+@pytest.mark.parametrize("family,n", [("2", 5), ("2", 7), ("6", 5)])
+def test_packed_vertex_keys_match_exact_positions(family, n):
+    # two placed vertices of a retained tiling share a packed key
+    # exactly when their exact positions are equal
+    e = make_entry(family, n)
+    searcher = _searcher(family, n, 6)
+    r = search_appropriate(e, 6)
+    lists = [w for kept in r.rejected.values() for w in kept]
+    assert lists
+    for words in lists:
+        packed, exact = [], []
+        for c, w in zip(node_from_words(searcher, words).copies, words):
+            motion = motion_from_word(e.polygon, w)
+            packed += c.vkeys
+            exact += [vkey(motion.apply(v)) for v in e.polygon.vertices()]
+        assert [packed.index(x) for x in packed] == [
+            exact.index(x) for x in exact
+        ]
+
+
+@pytest.mark.parametrize("family,n,K", [("2", 5, 6), ("5a", None, 10)])
+def test_identity_reads_no_float(family, n, K):
+    # which vertices, sides and translates coincide is decided by the
+    # exact vertex keys and anchors: with every float vertex gone,
+    # analyze_node and _translation_recurrence give the same answers
+    searcher = _searcher(family, n, K)
+    analyses, recurrences = [], []
+    real_an, real_rec = searcher.analyze_node, searcher._translation_recurrence
+
+    def analyze(node):
+        analyses.append((node.copies, real_an(node)))
+        return analyses[-1][1]
+
+    def recurrence(copies):
+        recurrences.append((tuple(copies), real_rec(copies)))
+        return recurrences[-1][1]
+
+    searcher.analyze_node = analyze
+    searcher._translation_recurrence = recurrence
+    report = SearchReport(family, n, 1, K, "none_found",
+                          statistics={"nodes": 0})
+    _run_enumeration(searcher, report, want="appropriate")
+    if family == "5a":
+        assert {hit for _, hit in recurrences} == {True, False}
+    for copies, _ in analyses + recurrences:
+        for c in copies:
+            c.verts = None
+    fields = ("external", "points", "boundary", "complete")
+    for copies, an in analyses:
+        again = real_an(_Node(copies))
+        assert all(getattr(again, f) == getattr(an, f) for f in fields)
+    for copies, hit in recurrences:
+        assert real_rec(copies) == hit
 
 
 def _float_class(searcher, copies):
