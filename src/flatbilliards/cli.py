@@ -129,7 +129,7 @@ def _cmd_cylinders(args) -> int:
             raise fileio.FormatError("--length-bound must be > 0")
     dec = cylinder_decomposition(M, theta, bound)
     doc = {
-        "direction": fileio.fraction_to_str(theta),
+        "direction": fileio.fraction_to_str(dec.theta),
         "cylinder_count": dec.cylinder_count(),
         "cylinders": [
             {

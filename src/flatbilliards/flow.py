@@ -1,28 +1,29 @@
 """Exact straight-line flow on an unfolded surface.
 
-Separatrices are traced face by face with exact predicates; hitting a
-vertex is detected exactly.  When every separatrix in a direction
-closes up, the surface is cut along them and the complementary pieces
-are glued into cylinders with exact heights and circumferences.
+A decomposition in direction theta works in one chart: each face's
+vertices are rotated once by -theta, so the flow runs along +x and a
+point's height is its y.  Separatrices are traced face by face; a ray
+leaves a face where a side's ends straddle its y, at x offset by
+cot(pi*delta) for the side's direction delta from theta, and each
+cotangent is inverted once per decomposition.  Which corners a
+direction leaves from (`_corner_mode`) and which sides are parallel
+to the flow (`_ray_exit`) are read from rational angles alone.  When
+every separatrix closes up, the faces are cut along them and the
+pieces glued into cylinders with exact heights and circumferences.
+A chart whose conductor has degree above MAX_CHART_DEGREE is refused.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import planar
-from .cyclotomic import ZERO, CyclotomicReal, cos_pi, embed, is_rational, sin_pi
-from .planar import (
-    cross,
-    dot,
-    vadd,
-    vkey,
-    vneg,
-    vscale,
-    vsub,
-)
-from .polygons import RationalAngle, _angle_value
+from .cyclotomic import (ZERO, CyclotomicReal, cos_pi, embed, is_rational,
+                         prime_factors, sin_pi)
+from .planar import vadd, vkey, vscale, vsub
+from .polygons import LinearMap, _angle_value
 from .unfolding import ConePoint, SurfaceError, TranslationSurface
 
 
@@ -48,21 +49,23 @@ class NotShownPeriodic(Exception):
 
 _SEGMENT_CAP = 20000
 
-
-def _side_length(M, fi: int, p: int):
-    # faces are isometric copies of P, so a slide along a whole side
-    # spends exactly the source edge length
-    s = M.faces[fi].sides[p].source
-    return M.polygon.edges[s].length
+# the largest phi(n) for the chart's conductor n, the lcm of the face
+# coordinates' conductors and theta's.  Products cost about phi(n)**2
+# and inverses phi(n)**3: `cylinders --family 2 --n 5 --length-bound 3`
+# takes 2.2 s at direction 1/31 (phi 240) and 28 s at 1/97 (phi 768)
+MAX_CHART_DEGREE = 256
 
 
 @dataclass
 class _Chord:
-    """A maximal straight sub-segment of a separatrix inside one face."""
+    """A maximal horizontal sub-segment of a separatrix inside one face,
+    with the face side each end lies inside (None at a vertex)."""
 
     face: int
     a: tuple
     b: tuple
+    a_side: int | None
+    b_side: int | None
     a_key: tuple = field(init=False)
     b_key: tuple = field(init=False)
 
@@ -104,92 +107,70 @@ class Cylinder:
     area_twice: CyclotomicReal
     y_min: CyclotomicReal
     y_max: CyclotomicReal
-    pieces: list  # of (piece, offset vec)
+    pieces: list  # of (piece, height offset)
 
 
 @dataclass
 class Decomposition:
     surface: TranslationSurface
-    theta: Fraction
-    u: tuple
+    theta: Fraction  # mod 2
+    verts: list  # face -> chart vertices
     cylinders: list
-    chords: dict  # face -> list of _Chord
+    chords: dict  # face -> list of _Chord, in chart coordinates
     cut_sides: set  # of (face, pos)
 
     def cylinder_count(self) -> int:
         return len(self.cylinders)
 
 
-def _direction_vector(theta) -> tuple:
-    t = _angle_value(theta)
-    return (cos_pi(t), sin_pi(t))
+def _check_degree(M: TranslationSurface, theta: Fraction):
+    n = math.lcm(cos_pi(theta).n, sin_pi(theta).n,
+                 *(x.n for f in M.faces for v in f.vertices for x in v))
+    phi = n
+    for p in prime_factors(n):
+        phi -= phi // p
+    if phi > MAX_CHART_DEGREE:
+        raise FlowError(f"direction {theta}: chart conductor {n} of degree "
+                        f"{phi} > MAX_CHART_DEGREE ({MAX_CHART_DEGREE})")
 
 
 # ---------------------------------------------------------------------------
 # tracing
 
 
-def _corner_mode(M: TranslationSurface, corner, u):
-    """How direction u leaves this corner: 'ray', 'edge', or None.
+def _corner_mode(M: TranslationSurface, corner, theta: Fraction):
+    """How direction theta leaves this corner: 'ray', 'edge', or None.
 
-    'edge' means u points exactly along the outgoing side; directions
-    along the incoming side belong to a different corner of the same
-    vertex class.
+    x = (theta - direction of the outgoing side) mod 2 is the angle
+    from the outgoing side, counterclockwise into the face: 'edge' at
+    x = 0, 'ray' while x is below the corner's angle.  Directions along
+    the incoming side belong to a different corner of the same class.
     """
     fi, p = corner
     face = M.faces[fi]
-    a = face.sides[p].vector()
-    b = vneg(face.sides[(p - 1) % M.k].vector())
-    ca = cross(a, u).sign()
-    if ca == 0:
-        if dot(a, u).sign() > 0:
-            return "edge"
-    cb = cross(u, b).sign()
-    if cb == 0 and dot(b, u).sign() > 0:
-        return None
+    x = (theta - face.sides[p].direction) % 2
+    if x == 0:
+        return "edge"
     ang = M.polygon.angles()[face.source_vertex[p]].multiple
-    if ang < 1:
-        return "ray" if (ca > 0 and cb > 0) else None
-    return "ray" if not (ca <= 0 and cb <= 0) else None
+    return "ray" if x < ang else None
 
 
-def _ray_exit(M: TranslationSurface, fi: int, x, u):
-    """First boundary hit of the ray x + t*u, t > 0, inside face fi."""
-    face = M.faces[fi]
-    best = None
-    for p, side in enumerate(face.sides):
-        d = side.vector()
-        denom = cross(u, d)
-        if denom.is_zero:
-            continue
-        inv = denom.inverse()
-        w = vsub(side.start, x)
-        t = cross(w, d) * inv
-        if t.sign() <= 0:
-            continue
-        s = cross(w, u) * inv
-        ss = s.sign()
-        if ss < 0 or (s - 1).sign() > 0:
-            continue
-        if best is not None and (t - best[0]).sign() >= 0:
-            continue
-        best = (t, p, ss, (s - 1).sign())
-    if best is None:
-        raise SurfaceError("ray did not exit the face")  # pragma: no cover
-    t, p, s_sign, s1_sign = best
-    pt = vadd(x, vscale(u, t))
-    if s_sign == 0:
-        return t, ("vertex", (fi, p)), pt
-    if s1_sign == 0:
-        return t, ("vertex", (fi, (p + 1) % M.k)), pt
-    return t, ("cross", p), pt
+class _Chart:
+    """One decomposition's chart and tracing state: the face vertices
+    rotated by -theta, the gluing translations between them, and the
+    cotangents of the side directions met so far."""
 
-
-class _Tracer:
-    def __init__(self, M: TranslationSurface, theta, u, stop_ids, bound2):
+    def __init__(self, M: TranslationSurface, theta, stop_ids, bound2):
         self.M = M
         self.theta = theta
-        self.u = u
+        rot = LinearMap.rotation(-theta)
+        self.verts = [tuple(map(rot.apply_vec, f.vertices)) for f in M.faces]
+        # own start -> partner end, as in TranslationSurface.translations
+        self.tau = {
+            (fi, p): vsub(self.verts[fj][(q + 1) % M.k], self.verts[fi][p])
+            for (fi, p), (fj, q) in M.pairing.items()
+        }
+        self.cot: dict[Fraction, CyclotomicReal] = {}
         self.stop_ids = stop_ids
         self.bound2 = bound2
         self.length = ZERO
@@ -203,8 +184,42 @@ class _Tracer:
         if (self.length * self.length - self.bound2).sign() > 0:
             raise NotShownPeriodic(self.theta, "length bound exceeded")
 
+    def _ray_exit(self, fi: int, x):
+        """First boundary hit of the ray x + (t, 0), t > 0, in face fi.
+
+        A side at direction delta from the flow (mod 1) meets the line
+        through x at t = (a_x - x_x) + (x_y - a_y)*cot(pi*delta), a its
+        start; sides parallel to the flow are skipped.
+        """
+        verts = self.verts[fi]
+        k = len(verts)
+        ys = [(v[1] - x[1]).sign() for v in verts]
+        best = None
+        for p, side in enumerate(self.M.faces[fi].sides):
+            delta = (side.direction - self.theta) % 1
+            if delta == 0 or ys[p] * ys[(p + 1) % k] > 0:
+                continue
+            cot = self.cot.get(delta)
+            if cot is None:
+                cot = self.cot[delta] = cos_pi(delta) / sin_pi(delta)
+            a = verts[p]
+            t = a[0] - x[0] + (x[1] - a[1]) * cot
+            if t.sign() <= 0:
+                continue
+            if best is None or (t - best[0]).sign() < 0:
+                best = (t, p)
+        if best is None:
+            raise SurfaceError("ray did not exit the face")  # pragma: no cover
+        t, p = best
+        pt = (x[0] + t, x[1])
+        if ys[p] == 0:
+            return t, ("vertex", (fi, p)), pt
+        if ys[(p + 1) % k] == 0:
+            return t, ("vertex", (fi, (p + 1) % k)), pt
+        return t, ("cross", p), pt
+
     def trace(self, start_corner):
-        """Follow the separatrix leaving start_corner in direction u.
+        """Follow the separatrix leaving start_corner in the flow direction.
 
         Returns (chords, edge_segments, end_class_id).
         """
@@ -218,12 +233,12 @@ class _Tracer:
             if not first and cls.class_id in self.stop_ids:
                 return chords, edges, cls.class_id
             owners = [
-                (c, _corner_mode(M, c, self.u))
+                (c, _corner_mode(M, c, self.theta))
                 for c in sorted(cls.corners)
             ]
             owners = [(c, m) for c, m in owners if m is not None]
             if first:
-                # the caller chose a specific corner; it must own u
+                # the caller chose a specific corner; it must own theta
                 owners = [(c, m) for c, m in owners if c == corner]
                 if not owners:
                     raise FlowError(
@@ -240,23 +255,26 @@ class _Tracer:
             first = False
             fi, p = corner
             if mode == "edge":
-                self._spend(_side_length(M, fi, p))
+                # faces are isometric copies of P: a slide along a whole
+                # side spends exactly the source edge length
+                s = M.faces[fi].sides[p].source
+                self._spend(M.polygon.edges[s].length)
                 edges.append((fi, p))
                 corner = (fi, (p + 1) % M.k)
                 continue
             # interior ray from the corner
-            x = M.faces[fi].vertices[p]
+            x, x_side = self.verts[fi][p], None
             while True:
-                t, hit, pt = _ray_exit(M, fi, x, self.u)
+                t, hit, pt = self._ray_exit(fi, x)
                 self._spend(t)
-                chords.append(_Chord(fi, x, pt))
                 if hit[0] == "vertex":
+                    chords.append(_Chord(fi, x, pt, x_side, None))
                     corner = hit[1]
                     break
                 q = hit[1]
-                fj, _ = M.pairing[(fi, q)]
-                x = vadd(pt, M.translations[(fi, q)])
-                fi = fj
+                chords.append(_Chord(fi, x, pt, x_side, q))
+                x = vadd(pt, self.tau[(fi, q)])
+                fi, x_side = M.pairing[(fi, q)]
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +285,14 @@ def cylinder_decomposition(
     M: TranslationSurface, theta, length_bound=None
 ) -> Decomposition:
     """Cut M along all separatrices in direction theta (a rational
-    multiple of pi) and glue the pieces into cylinders.
+    multiple of pi, read mod 2) and glue the pieces into cylinders.
 
     Raises NotShownPeriodic when a separatrix fails to close within the
-    length bound (default 40 * diameter of P).
+    length bound (default 40 * diameter of P), and FlowError when the
+    chart's conductor has degree above MAX_CHART_DEGREE.
     """
-    t_ang = _angle_value(theta)
-    u = _direction_vector(t_ang)
+    theta = _angle_value(theta) % 2
+    _check_degree(M, theta)
     if length_bound is None:
         bound2 = M.polygon.diameter_squared() * 1600
     else:
@@ -287,13 +306,13 @@ def cylinder_decomposition(
 
     chords_by_face: dict[int, list] = {fi: [] for fi in range(len(M.faces))}
     cut_sides: set = set()
-    tracer = _Tracer(M, t_ang, u, stop_ids, bound2)
+    chart = _Chart(M, theta, stop_ids, bound2)
     for cls in sources:
         for corner in sorted(cls.corners):
-            mode = _corner_mode(M, corner, u)
+            mode = _corner_mode(M, corner, theta)
             if mode is None:
                 continue
-            chords, edges, _end = tracer.trace(corner)
+            chords, edges, _end = chart.trace(corner)
             for ch in chords:
                 chords_by_face[ch.face].append(ch)
             for fi, p in edges:
@@ -302,14 +321,14 @@ def cylinder_decomposition(
 
     pieces = []
     for fi in range(len(M.faces)):
-        pieces.extend(_slice_face(M, fi, chords_by_face[fi]))
+        pieces.extend(_slice_face(chart, fi, chords_by_face[fi]))
 
-    cylinders = _glue_pieces(M, u, pieces, cut_sides)
+    cylinders = _glue_pieces(chart, pieces, cut_sides)
 
     dec = Decomposition(
         surface=M,
-        theta=t_ang,
-        u=u,
+        theta=theta,
+        verts=chart.verts,
         cylinders=cylinders,
         chords=chords_by_face,
         cut_sides=cut_sides,
@@ -322,40 +341,31 @@ def cylinder_decomposition(
     return dec
 
 
-def _slice_face(M: TranslationSurface, fi: int, chords: list) -> list:
-    face = M.faces[fi]
-    k = M.k
-    # interior points per side
-    interior: dict[int, dict] = {p: {} for p in range(k)}
-    vertex_keys = {vkey(face.vertices[p]): p for p in range(k)}
-
-    def classify_endpoint(pt, key):
-        if key in vertex_keys:
-            return
-        for p, side in enumerate(face.sides):
-            if planar.on_segment(pt, side.start, side.end):
-                interior[p][key] = pt
-                return
-        raise SurfaceError("chord endpoint not on the boundary")
-
+def _slice_face(chart: _Chart, fi: int, chords: list) -> list:
+    # chord ends inside each side, keyed to drop repeats
+    interior: dict[int, dict] = {p: {} for p in range(chart.M.k)}
     for ch in chords:
-        classify_endpoint(ch.a, ch.a_key)
-        classify_endpoint(ch.b, ch.b_key)
+        for side, key, pt in ((ch.a_side, ch.a_key, ch.a),
+                              (ch.b_side, ch.b_key, ch.b)):
+            if side is not None:
+                interior[side][key] = pt
 
     ring_nodes = []
     ring_tags = []
-    for p in range(k):
-        start = face.vertices[p]
+    for p, side in enumerate(chart.M.faces[fi].sides):
+        start = chart.verts[fi][p]
         ring_nodes.append((vkey(start), start))
         ring_tags.append(("side", p))
-        pts = list(interior[p].items())
-        if pts:
-            d = face.sides[p].vector()
-            pts.sort(key=lambda kv: planar._sort_key(
-                dot(vsub(kv[1], start), d)))
-            for key, pt in pts:
-                ring_nodes.append((key, pt))
-                ring_tags.append(("side", p))
+        # no chord ends inside a side parallel to the flow, so the side
+        # runs up (direction within (0, 1) of theta) or down
+        down = (side.direction - chart.theta) % 2 > 1
+        for key, pt in sorted(
+            interior[p].items(),
+            key=lambda kv: planar._sort_key(kv[1][1]),
+            reverse=down,
+        ):
+            ring_nodes.append((key, pt))
+            ring_tags.append(("side", p))
 
     chord_specs = [
         (ch.a_key, ch.b_key, idx) for idx, ch in enumerate(chords)
@@ -421,7 +431,8 @@ def _node_point(piece: _Piece, key):
     raise SurfaceError("missing node")  # pragma: no cover
 
 
-def _glue_pieces(M: TranslationSurface, u, pieces: list, cut_sides: set):
+def _glue_pieces(chart: _Chart, pieces: list, cut_sides: set):
+    M = chart.M
     # index sub-segments of non-cut sides
     seg_index = {}
     for pi, piece in enumerate(pieces):
@@ -437,45 +448,40 @@ def _glue_pieces(M: TranslationSurface, u, pieces: list, cut_sides: set):
             b_key = piece.nodes[(i + 1) % n][0]
             locator = (side_id, frozenset((a_key, b_key)))
             # partner locator: translate both endpoints
-            tau = M.translations[side_id]
-            partner_side = M.pairing[side_id]
+            tau = chart.tau[side_id]
             pa = vkey(vadd(piece.nodes[i][1], tau))
             pb = vkey(vadd(piece.nodes[(i + 1) % n][1], tau))
-            partner_loc = (partner_side, frozenset((pa, pb)))
-            seg_index.setdefault(locator, []).append((pi, tau, partner_loc))
-    # match
-    edges = []
+            partner_loc = (M.pairing[side_id], frozenset((pa, pb)))
+            seg_index.setdefault(locator, []).append((pi, tau[1], partner_loc))
+    # match: adj[pi] holds (pj, height shift of the gluing)
+    adj: dict[int, list] = {i: [] for i in range(len(pieces))}
     for locator, items in seg_index.items():
         if len(items) != 1:
             raise SurfaceError("sub-segment matched more than one piece")
-        pi, tau, partner_loc = items[0]
+        pi, dy, partner_loc = items[0]
         partner_items = seg_index.get(partner_loc)
         if partner_items is None:
             raise SurfaceError("unmatched boundary sub-segment")
-        pj = partner_items[0][0]
-        edges.append((pi, pj, tau))
-    # BFS components with offsets
+        adj[pi].append((partner_items[0][0], dy))
+    # BFS components with height offsets
     offsets = {}
     comp = {}
-    adj: dict[int, list] = {i: [] for i in range(len(pieces))}
-    for pi, pj, tau in edges:
-        adj[pi].append((pj, tau))
     n_comp = 0
     for start in range(len(pieces)):
         if start in comp:
             continue
         comp[start] = n_comp
-        offsets[start] = (ZERO, ZERO)
+        offsets[start] = ZERO
         queue = [start]
         while queue:
             cur = queue.pop()
-            for nxt, tau in adj[cur]:
-                off = vsub(offsets[cur], tau)
+            for nxt, dy in adj[cur]:
+                off = offsets[cur] - dy
                 if nxt in comp:
                     # going around the core curve shifts the developing
-                    # map along u (the holonomy); only the transverse
-                    # height coordinate must be single-valued
-                    if not cross(u, vsub(offsets[nxt], off)).is_zero:
+                    # map along the flow (the holonomy); only the height
+                    # must be single-valued
+                    if not (offsets[nxt] - off).is_zero:
                         raise SurfaceError(
                             "inconsistent cylinder developing map"
                         )
@@ -502,22 +508,15 @@ def _glue_pieces(M: TranslationSurface, u, pieces: list, cut_sides: set):
                 )
                 if not is_boundary:
                     continue
-                pa = vadd(piece.nodes[j][1], off)
-                pb = vadd(piece.nodes[(j + 1) % n][1], off)
-                ya = cross(u, pa)
-                yb = cross(u, pb)
+                ya = piece.nodes[j][1][1] + off
+                yb = piece.nodes[(j + 1) % n][1][1] + off
                 if not (ya - yb).is_zero:
                     raise SurfaceError("cylinder boundary not parallel")
                 boundary_vals.append(ya)
         if not boundary_vals:
             raise SurfaceError("component without boundary")
-        y_min = boundary_vals[0]
-        y_max = boundary_vals[0]
-        for y in boundary_vals[1:]:
-            if (y - y_min).sign() < 0:
-                y_min = y
-            if (y - y_max).sign() > 0:
-                y_max = y
+        y_min = min(boundary_vals, key=planar._sort_key)
+        y_max = max(boundary_vals, key=planar._sort_key)
         for y in boundary_vals:
             if not (y - y_min).is_zero and not (y - y_max).is_zero:
                 raise SurfaceError(
@@ -549,8 +548,7 @@ def _locate_class(dec: Decomposition, cp: ConePoint):
     # reject points on separatrices
     class_keys = {}
     for fi, p in cp.corners:
-        class_keys[fi] = class_keys.get(fi, set())
-        class_keys[fi].add(vkey(M.faces[fi].vertices[p]))
+        class_keys.setdefault(fi, set()).add(vkey(dec.verts[fi][p]))
     for fi, keys in class_keys.items():
         for ch in dec.chords[fi]:
             if ch.a_key in keys or ch.b_key in keys:
@@ -564,7 +562,7 @@ def _locate_class(dec: Decomposition, cp: ConePoint):
                     "marked point lies on a separatrix in this direction"
                 )
     fi, p = cp.representative()
-    w = M.faces[fi].vertices[p]
+    w = dec.verts[fi][p]
     w_key = vkey(w)
     for idx, cyl in enumerate(dec.cylinders):
         for piece, off in cyl.pieces:
@@ -572,8 +570,7 @@ def _locate_class(dec: Decomposition, cp: ConePoint):
                 continue
             for key, _pt in piece.nodes:
                 if key == w_key:
-                    y = cross(dec.u, vadd(w, off))
-                    return cyl, y
+                    return cyl, w[1] + off
     raise SurfaceError("marked point not located")  # pragma: no cover
 
 
@@ -607,13 +604,13 @@ def height_split(M: TranslationSurface, dec: Decomposition, p) -> dict:
 
 
 def _locate_interior(dec: Decomposition, sp: SurfacePoint):
+    x = LinearMap.rotation(-dec.theta).apply_vec(sp.coords)
     for cyl in dec.cylinders:
         for piece, off in cyl.pieces:
             if piece.face != sp.face:
                 continue
-            if planar.point_in_polygon(sp.coords, piece.points()):
-                y = cross(dec.u, vadd(sp.coords, off))
-                return cyl, y
+            if planar.point_in_polygon(x, piece.points()):
+                return cyl, x[1] + off
     raise OnSeparatrix(
         "point is on a piece boundary or outside its face"
     )

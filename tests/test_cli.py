@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -105,6 +106,28 @@ def test_nonperiodic_test_example(capsys):
     assert len(unknown) == 2
     for c in unknown:
         assert c["evidence"] == [{"direction": "0", "result": "on_separatrix"}]
+
+
+def test_cylinders_direction_is_read_mod_2(capsys):
+    argv = ["cylinders", "--family", "2", "--n", "5", "--direction"]
+    code, doc, _ = run(capsys, *argv, "7/2")
+    assert code == 0 and doc["direction"] == "3/2"
+    assert run(capsys, *argv, "3/2")[1] == doc
+
+
+@pytest.mark.parametrize("command", ["cylinders", "nonperiodic-test"])
+def test_direction_above_the_chart_degree_is_refused(capsys, command):
+    # 1/97 puts 2 n=5 in a chart at conductor 1940, of degree 768: the
+    # refusal comes before any arithmetic there
+    argv = [command, "--family", "2", "--n", "5", "--direction", "1/97"]
+    if command == "nonperiodic-test":
+        argv += ["--vertex", "0"]
+    t0 = time.perf_counter()
+    code, doc, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and doc is None
+    assert err["error"] == "FlowError"
+    assert "MAX_CHART_DEGREE" in err["message"]
 
 
 def test_check_cover(tmp_path, capsys):

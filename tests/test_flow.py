@@ -3,15 +3,18 @@ from fractions import Fraction as F
 import pytest
 
 from flatbilliards import cyclotomic as cy
+from flatbilliards.catalog import make_entry
 from flatbilliards.cyclotomic import embed
 from flatbilliards.flow import (
     FlowError,
     NotShownPeriodic,
     OnSeparatrix,
     SurfacePoint,
+    _corner_mode,
     cylinder_decomposition,
     height_split,
 )
+from flatbilliards.planar import cross, dot, vneg
 from flatbilliards.polygons import Edge, Polygon, triangle_from_angles
 from flatbilliards.unfolding import unfold
 
@@ -88,19 +91,36 @@ def test_area_conservation():
 
 
 def test_rotation_equivariance():
-    angles = (F(1, 4), F(1, 3), F(5, 12))
-    th = F(1, 6)
-    M = unfold(triangle_from_angles(*angles))
-    dec = cylinder_decomposition(M, th)
-    t = triangle_from_angles(*angles)
-    rotated = Polygon(
-        [Edge((e.direction.multiple - th) % 2, e.length) for e in t.edges]
-    )
-    dec0 = cylinder_decomposition(unfold(rotated), F(0))
-    key = lambda d: sorted(
-        (c.height.key(), c.circumference.key()) for c in d.cylinders
-    )
-    assert key(dec) == key(dec0)
+    # decomposing in direction th is decomposing the polygon turned by
+    # -th at 0: the same cylinders, and the same height splits at the
+    # regular classes
+    cases = [
+        (triangle_from_angles(F(1, 4), F(1, 3), F(5, 12)), F(1, 6)),
+        (make_entry("2", 5).polygon, F(1, 10)),
+        (make_entry("2", 7).polygon, F(1, 14)),
+        (make_entry("5c").polygon, F(1, 6)),
+        (make_entry("8").polygon, F(1, 4)),
+    ]
+
+    def key(M, dec):
+        cylinders = sorted(
+            (c.height.key(), c.circumference.key()) for c in dec.cylinders
+        )
+        splits = sorted(
+            (cp.angle.multiple, s["h1"].key(), s["h"].key())
+            for cp, s in regular_splits(M, dec)
+        )
+        return cylinders, splits
+
+    for P, th in cases:
+        M = unfold(P)
+        rotated = Polygon(
+            [Edge((e.direction.multiple - th) % 2, e.length) for e in P.edges]
+        )
+        M0 = unfold(rotated)
+        got = key(M, cylinder_decomposition(M, th))
+        assert got == key(M0, cylinder_decomposition(M0, F(0)))
+        assert got[1]
 
 
 def test_height_split_family_5a():
@@ -204,13 +224,50 @@ def test_not_shown_periodic_direction():
 
 
 def test_chords_are_parallel_to_the_direction():
-    from flatbilliards.planar import cross, vsub
-
+    # the chart turns the direction to +x: every chord is horizontal
+    # there and runs from a to b along the flow
     M = unfold(triangle_from_angles(F(1, 2), F(1, 8), F(3, 8)))
-    dec = cylinder_decomposition(M, F(0))
-    n_chords = 0
-    for chords in dec.chords.values():
-        for ch in chords:
-            assert cross(dec.u, vsub(ch.b, ch.a)).is_zero
-            n_chords += 1
-    assert n_chords > 0
+    for th in (F(0), F(1, 8)):
+        dec = cylinder_decomposition(M, th)
+        n_chords = 0
+        for chords in dec.chords.values():
+            for ch in chords:
+                assert (ch.b[1] - ch.a[1]).is_zero
+                assert (ch.b[0] - ch.a[0]).sign() > 0
+                n_chords += 1
+        assert n_chords > 0
+
+
+def _reference_corner_mode(M, corner, u):
+    # reference rule on exact vectors: signs of cross and dot products of
+    # the direction vector u with the corner's two sides
+    fi, p = corner
+    face = M.faces[fi]
+    a = face.sides[p].vector()
+    b = vneg(face.sides[(p - 1) % M.k].vector())
+    ca = cross(a, u).sign()
+    if ca == 0 and dot(a, u).sign() > 0:
+        return "edge"
+    cb = cross(u, b).sign()
+    if cb == 0 and dot(b, u).sign() > 0:
+        return None
+    if M.polygon.angles()[face.source_vertex[p]].multiple < 1:
+        return "ray" if (ca > 0 and cb > 0) else None
+    return "ray" if not (ca <= 0 and cb <= 0) else None
+
+
+def test_corner_mode_matches_the_vector_rule():
+    # family 8 has a reflex corner (3pi/2); directions j/12 run along
+    # sides of all three polygons
+    modes = set()
+    for family, n in [("2", 5), ("5c", None), ("8", None)]:
+        M = unfold(make_entry(family, n).polygon)
+        corners = [(fi, p) for fi in range(len(M.faces)) for p in range(M.k)]
+        for j in range(24):
+            th = F(j, 12)
+            u = (cy.cos_pi(th), cy.sin_pi(th))
+            for c in corners:
+                mode = _corner_mode(M, c, th)
+                assert mode == _reference_corner_mode(M, c, u), (family, th, c)
+                modes.add(mode)
+    assert modes == {"edge", "ray", None}
