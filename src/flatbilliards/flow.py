@@ -112,7 +112,6 @@ class Cylinder:
 
 @dataclass
 class Decomposition:
-    surface: TranslationSurface
     theta: Fraction  # mod 2
     verts: list  # face -> chart vertices
     cylinders: list
@@ -326,7 +325,6 @@ def cylinder_decomposition(
     cylinders = _glue_pieces(chart, pieces, cut_sides)
 
     dec = Decomposition(
-        surface=M,
         theta=theta,
         verts=chart.verts,
         cylinders=cylinders,
@@ -542,29 +540,23 @@ def _glue_pieces(chart: _Chart, pieces: list, cut_sides: set):
 # height splits
 
 
-def _locate_class(dec: Decomposition, cp: ConePoint):
+def _locate_class(M: TranslationSurface, dec: Decomposition, cp: ConePoint):
     """The cylinder containing a marked vertex class and its height level."""
-    M = dec.surface
-    # reject points on separatrices
+    # reject points on separatrices: a chord end or a cut side
     class_keys = {}
     for fi, p in cp.corners:
         class_keys.setdefault(fi, set()).add(vkey(dec.verts[fi][p]))
-    for fi, keys in class_keys.items():
-        for ch in dec.chords[fi]:
-            if ch.a_key in keys or ch.b_key in keys:
-                raise OnSeparatrix(
-                    "marked point lies on a separatrix in this direction"
-                )
-    for fi, p in cp.corners:
-        for q in (p, (p - 1) % M.k):
-            if (fi, q) in dec.cut_sides:
-                raise OnSeparatrix(
-                    "marked point lies on a separatrix in this direction"
-                )
+    on_chord = any(ch.a_key in keys or ch.b_key in keys
+                   for fi, keys in class_keys.items() for ch in dec.chords[fi])
+    on_cut = any((fi, q) in dec.cut_sides
+                 for fi, p in cp.corners for q in (p, (p - 1) % M.k))
+    if on_chord or on_cut:
+        raise OnSeparatrix(
+            "marked point lies on a separatrix in this direction")
     fi, p = cp.representative()
     w = dec.verts[fi][p]
     w_key = vkey(w)
-    for idx, cyl in enumerate(dec.cylinders):
+    for cyl in dec.cylinders:
         for piece, off in cyl.pieces:
             if piece.face != fi:
                 continue
@@ -584,7 +576,7 @@ def height_split(M: TranslationSurface, dec: Decomposition, p) -> dict:
     if isinstance(p, ConePoint):
         if p.is_singular:
             raise FlowError("height split is undefined at a singular point")
-        cyl, y = _locate_class(dec, p)
+        cyl, y = _locate_class(M, dec, p)
     else:
         cyl, y = _locate_interior(dec, p)
     h1 = y - cyl.y_min

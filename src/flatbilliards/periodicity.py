@@ -5,6 +5,12 @@ reflection group, any marked point fixed by the corresponding affine
 rotation by pi is periodic.  A marked point that splits the height of
 a cylinder irrationally in some periodic direction is non-periodic;
 anything else stays unknown.
+
+A surface keeps its default-bound decompositions in M.decompositions
+(theta mod 2 -> Decomposition or the NotShownPeriodic it raised), so
+each direction is decomposed once per surface and dropped with it.  A
+miss calls cylinder_decomposition by this module's name, which the
+tracer replaces; replay_certificate, the re-check, decomposes afresh.
 """
 
 from __future__ import annotations
@@ -44,12 +50,8 @@ class PeriodicityVerdict:
 
 def default_directions(M: TranslationSurface) -> list:
     """Horizontal plus the reflection-axis directions of the group."""
-    dirs = [Fraction(0)]
-    for j in range(M.N):
-        d = (M.group.base_axis + Fraction(j, M.N)) % 1
-        if d not in dirs:
-            dirs.append(d)
-    return dirs
+    axes = [(M.group.base_axis + Fraction(j, M.N)) % 1 for j in range(M.N)]
+    return list(dict.fromkeys([Fraction(0)] + axes))
 
 
 def minus_id_fixes(M: TranslationSurface, p: ConePoint) -> bool:
@@ -59,8 +61,9 @@ def minus_id_fixes(M: TranslationSurface, p: ConePoint) -> bool:
     return M.act_on_class(MINUS_ID, p).class_id == p.class_id
 
 
-# classify_point is the per-class entry the benchmark calls and wraps.  Its
-# tracer counts decompositions and height splits by replacing the names
+# classify_point is the per-class entry the benchmark calls and wraps: the
+# memo (per surface, default bound, dropped with M) makes class-by-class
+# calls decompose each direction once.  Its tracer replaces the names
 # cylinder_decomposition and height_split here: call them by those names.
 def classify_point(
     M: TranslationSurface, p: ConePoint, directions=None
@@ -71,9 +74,10 @@ def classify_point(
 def classify_points(M: TranslationSurface, classes, directions=None) -> dict:
     """Verdicts for vertex classes of one surface, by class id.
 
-    Directions are tried in order, each decomposed at most once, until
-    no class is pending.  A class's certificate is the first irrational
-    split; what each earlier direction gave is kept as its evidence.
+    Directions are tried in order, each decomposed at most once per
+    surface, until no class is pending.  A class's certificate is the
+    first irrational split; what each earlier direction gave is kept as
+    its evidence.
     """
     verdicts, pending = {}, {}
     for p in classes:
@@ -86,11 +90,16 @@ def classify_points(M: TranslationSurface, classes, directions=None) -> dict:
         if not pending:
             break
         d = Fraction(theta) % 2
-        try:
-            dec = cylinder_decomposition(M, theta)
-        except NotShownPeriodic as exc:
+        if d not in M.decompositions:
+            try:
+                M.decompositions[d] = cylinder_decomposition(M, d)
+            except NotShownPeriodic as exc:
+                # the traceback's frames hold M: keep it off the memo
+                M.decompositions[d] = exc.with_traceback(None)
+        dec = M.decompositions[d]
+        if isinstance(dec, NotShownPeriodic):
             for _p, tried in pending.values():
-                tried.append((d, f"not_shown_periodic: {exc.detail}"))
+                tried.append((d, f"not_shown_periodic: {dec.detail}"))
             continue
         for cid, (p, tried) in list(pending.items()):
             try:

@@ -283,6 +283,8 @@ class LinearMap:
     def apply_vec(self, v: planar.Vec) -> planar.Vec:
         x, y = v
         if self.kind == "rot":
+            if not self.param:
+                return v
             c = cos_pi(self.param)
             s = sin_pi(self.param)
             return (x * c - y * s, x * s + y * c)

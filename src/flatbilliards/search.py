@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .catalog import CatalogEntry
 from .covers import analyze_cover, appropriate_verdict, tile_by_words
-from .periodicity import classify_points, default_directions
+from .periodicity import classify_point, default_directions
 from .polygons import LinearMap, group_of
 from .unfolding import unfold
 
@@ -154,30 +154,26 @@ class _StatusOracle(dict):
 
     Classes at the angles named in the catalog facts try the recorded
     split direction first, then the default direction list; anything
-    else tries the default list only.  The first miss classifies every
-    class of its kind in one `classify_points` call, so each direction
-    is decomposed at most once per kind.
+    else tries the default list only.  Each miss classifies its one
+    class; the surface keeps its decompositions, so each direction is
+    decomposed at most once per search.
     """
 
     def __init__(self, M, facts):
         super().__init__()
         self.M = M
-        self.facts = facts
         self.cps = {cp.class_id: cp for cp in M.cone_points()}
+        split = facts.get("split_direction")
+        self.known = () if split is None else facts.get(
+            "non_periodic_vertex_angles", ())
+        self.split_first = [split] + [
+            d for d in default_directions(M) if d != split
+        ]
 
     def __missing__(self, cid):
-        known = set(self.facts.get("non_periodic_vertex_angles", ()))
-        split = self.facts.get("split_direction")
-        kind = {c: split is not None and cp.angle.multiple in known
-                for c, cp in self.cps.items()}
-        dirs = None
-        if kind[cid]:
-            dirs = [split] + [
-                d for d in default_directions(self.M) if d != split
-            ]
-        batch = [cp for c, cp in self.cps.items() if kind[c] == kind[cid]]
-        for c, verdict in classify_points(self.M, batch, dirs).items():
-            self[c] = verdict.status
+        cp = self.cps[cid]
+        dirs = self.split_first if cp.angle.multiple in self.known else None
+        self[cid] = classify_point(self.M, cp, dirs).status
         return self[cid]
 
 

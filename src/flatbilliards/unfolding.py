@@ -122,6 +122,7 @@ class TranslationSurface:
         self.translations: dict = {}
         self._build_pairing()
         self._cone_points = None
+        self.decompositions: dict = {}  # memo of periodicity.classify_points
 
     # -- construction -----------------------------------------------------
 
