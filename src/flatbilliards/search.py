@@ -15,6 +15,11 @@ keep features far above the rounding scale).  Angles and vertex
 classes stay exact, and any surviving candidate is re-verified with
 exact arithmetic before it is reported.
 
+A child is its parent plus one copy: `_Search.add_copy` grows a node's
+side and point tables one copy at a time, and the forced-move replay
+keeps one running analysis and one legality table that tests each move
+only against the copies appended since it was last read.
+
 Pruning rules are tagged and counted:
 
 - pre-checks that need no enumeration (square-tiled base, all vertex
@@ -36,15 +41,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 from .catalog import CatalogEntry
 from .covers import analyze_cover, appropriate_verdict, tile_by_words
 from .periodicity import classify_point, default_directions
 from .polygons import LinearMap, group_of
 from .unfolding import unfold
-
-F = Fraction
 
 _EPS = 1e-7
 _ROUND = 10 ** 6
@@ -146,7 +148,19 @@ class _Node:
 
 
 class _Analysis:
-    __slots__ = ("external", "points", "boundary", "complete")
+    """Side and point tables of a tiling, grown by `_Search.add_copy`:
+    `sides` maps the ends of each external side to its (copy, side) in
+    first-seen order, and `points` each vertex key to its corners, its
+    external sides `ext` (in `sides` order), its base vertex `label`
+    (None where different ones meet) and its angle `sigma`."""
+
+    __slots__ = ("copies", "sides", "points", "external", "boundary",
+                 "complete")
+
+    def __init__(self):
+        self.copies = []
+        self.sides = {}
+        self.points = {}
 
 
 class _StatusOracle(dict):
@@ -178,8 +192,7 @@ class _StatusOracle(dict):
 
 
 class _Search:
-    def __init__(self, base_polygon, statuses, max_copies,
-                 max_nodes=200000):
+    def __init__(self, base_polygon, statuses, max_copies, max_nodes):
         self.P = base_polygon
         self.max_copies = max_copies
         self.max_nodes = max_nodes
@@ -189,6 +202,12 @@ class _Search:
         self.elements = self.G.elements()
         self.k = len(base_polygon.edges)
         self.angles = [a.multiple for a in base_polygon.angles()]
+        # sigma[t][kk]: the angle of kk corners of base vertex t (a node,
+        # forced moves included, holds at most max_copies + _HORIZON)
+        self.sigma = [
+            [kk * a for kk in range(max_copies + _HORIZON + 1)]
+            for a in self.angles
+        ]
         self.M = statuses.M
         # class of the corner at base vertex v inside the copy whose
         # orthogonal part is group element gi (face order matches the
@@ -336,37 +355,47 @@ class _Search:
                 best = key
         return tuple(best)
 
+    def add_copy(self, an, c):
+        """Grow the analysis by copy c: its corners join their points,
+        and each of its sides opens an external side or closes the one
+        it matches (a side is shared by at most two copies, whose
+        interiors are disjoint).  Sides keep their first-seen order and
+        each point's `ext` that order too, as a rebuild would give."""
+        ci = len(an.copies)
+        an.copies.append(c)
+        points, keys = an.points, c.vkeys
+        for v, key in enumerate(keys):
+            rec = points.get(key)
+            if rec is None:
+                points[key] = {"corners": [(ci, v)], "ext": [], "label": v,
+                               "sigma": self.sigma[v][1]}
+                continue
+            rec["corners"].append((ci, v))
+            if rec["label"] == v:
+                rec["sigma"] = self.sigma[v][len(rec["corners"])]
+            else:
+                rec["label"] = rec["sigma"] = None
+        for s in range(self.k):
+            a, b = keys[s], keys[(s + 1) % self.k]
+            ends = (a, b) if a < b else (b, a)
+            other = an.sides.pop(ends, None)
+            if other is None:
+                an.sides[ends] = (ci, s)
+                points[a]["ext"].append((ci, s))
+                points[b]["ext"].append((ci, s))
+            else:
+                points[a]["ext"].remove(other)
+                points[b]["ext"].remove(other)
+
     def analyze_node(self, node):
         an = _Analysis()
-        sides = {}
-        for ci, c in enumerate(node.copies):
-            for s in range(self.k):
-                ends = frozenset((c.vkeys[s], c.vkeys[(s + 1) % self.k]))
-                sides.setdefault(ends, []).append((ci, s))
-        an.external = [own[0] for own in sides.values() if len(own) == 1]
-        points = {}
-        for ci, c in enumerate(node.copies):
-            for v in range(self.k):
-                rec = points.setdefault(
-                    c.vkeys[v], {"corners": [], "ext": []}
-                )
-                rec["corners"].append((ci, v))
-        for ci, s in an.external:
-            c = node.copies[ci]
-            points[c.vkeys[s]]["ext"].append((ci, s))
-            points[c.vkeys[(s + 1) % self.k]]["ext"].append((ci, s))
-        for rec in points.values():
-            labels = {v for _, v in rec["corners"]}
-            rec["label"] = labels.pop() if len(labels) == 1 else None
-            if rec["label"] is not None:
-                rec["sigma"] = len(rec["corners"]) * self.angles[rec["label"]]
-            else:
-                rec["sigma"] = None
-        an.points = points
-        an.boundary = {k: r for k, r in points.items() if r["ext"]}
+        for c in node.copies:
+            self.add_copy(an, c)
+        an.external = list(an.sides.values())
+        an.boundary = {k: r for k, r in an.points.items() if r["ext"]}
         an.complete = all(
             len(rec["ext"]) == 2 for rec in an.boundary.values()
-        ) and all(rec["sigma"] is not None for rec in points.values())
+        ) and all(rec["sigma"] is not None for rec in an.points.values())
         return an
 
     def branch_class(self, node, rec):
@@ -382,12 +411,11 @@ class _Search:
 
     # -- moves ---------------------------------------------------------------
 
-    def reflect_copy(self, node, ci, s):
-        """Copy ci reflected across its side s: the motion g.x + t
+    def reflect_copy(self, c, s):
+        """Copy c reflected across its side s: the motion g.x + t
         becomes g'.x + t' with t' = t + g.v_s - g'.v_s, exactly in the
         anchors and as floats in the vertices (g.v_s + t is the float
         vertex s, which the reflection fixes)."""
-        c = node.copies[ci]
         lin = self.refl_lin[c.lin][s]
         tx = c.verts[s][0] - self.fverts[lin][s][0]
         ty = c.verts[s][1] - self.fverts[lin][s][1]
@@ -399,19 +427,25 @@ class _Search:
     def legal_child(self, node, ci, s):
         """The reflected copy if placing it keeps interiors disjoint
         and creates no duplicate, else None.  Memoized per node."""
-        if (ci, s) in node.legal:
-            return node.legal[(ci, s)]
-        new = self.reflect_copy(node, ci, s)
-        result = new
-        for cj, c in enumerate(node.copies):
-            if c.vset == new.vset:
-                result = None
-                break
-            if cj != ci and not _sat_disjoint(new.verts, c.verts):
-                result = None
-                break
-        node.legal[(ci, s)] = result
-        return result
+        return self.grown_child(node.legal, node.copies, ci, s)
+
+    def grown_child(self, legal, copies, ci, s):
+        """`legal_child` over copies that only grow.  `legal` maps (ci, s)
+        to [reflected copy or None, copies checked]; a read tests only the
+        copies appended since the last one, as appending never lifts a
+        block.  Copy ci, which the new copy reflects, only touches it."""
+        entry = legal.get((ci, s))
+        if entry is None:
+            entry = legal[(ci, s)] = [self.reflect_copy(copies[ci], s), 0]
+        new, start = entry
+        if new is not None and any(
+            c.vset == new.vset
+            or (cj != ci and not _sat_disjoint(new.verts, c.verts))
+            for cj, c in enumerate(copies[start:], start)
+        ):
+            entry[0] = None
+        entry[1] = len(copies)
+        return entry[0]
 
     # -- subtree rules -------------------------------------------------------
 
@@ -474,9 +508,12 @@ class _Search:
             for rec in an.boundary.values()
         )
 
-    def forced_sim(self, node, horizon=_HORIZON):
+    def forced_sim(self, node):
         """Replay forced moves; True when the configuration repeats
         itself under a translation (an infinite forced strip).
+
+        The replay grows one running analysis by `add_copy` and keeps one
+        legality table (`grown_child`), checked only against newer copies.
 
         Boundary points are tried in the order of the float position of
         their first corner, rounded to a 1e-6 grid, and moves in the
@@ -485,18 +522,20 @@ class _Search:
         vertex keys.  Congruent nodes can replay different moves, and
         whether the prune fires can depend on which representative of a
         class the search keeps."""
-        copies = list(node.copies)
+        an = _Analysis()
+        for c in node.copies:
+            self.add_copy(an, c)
+        copies = an.copies
+        legal = {}
 
         def position(rec):
             ci, v = rec["corners"][0]
             return _pkey(copies[ci].verts[v])
 
-        grown = 0
-        while grown < horizon:
-            sim = _Node(tuple(copies))
-            an = self.analyze_node(sim)
+        for grown in range(1, _HORIZON + 1):
             move = None
-            for rec in sorted(an.boundary.values(), key=position):
+            boundary = [rec for rec in an.points.values() if rec["ext"]]
+            for rec in sorted(boundary, key=position):
                 if rec["label"] is None:
                     continue
                 kk = len(rec["corners"])
@@ -505,20 +544,19 @@ class _Search:
                     return False
                 if kk in self.ok_counts[t]:
                     continue
-                legal = sorted(
+                moves = sorted(
                     (ci, s)
                     for ci, s in rec["ext"]
-                    if self.legal_child(sim, ci, s) is not None
+                    if self.grown_child(legal, copies, ci, s) is not None
                 )
-                if not legal:
+                if not moves:
                     return False
-                if len(legal) <= 2:
-                    move = legal[0]
+                if len(moves) <= 2:
+                    move = moves[0]
                     break
             if move is None:
                 return False
-            copies.append(self.legal_child(sim, *move))
-            grown += 1
+            self.add_copy(an, legal[move][0])
             if grown >= 4 and self._translation_recurrence(copies):
                 return True
         return False
@@ -601,7 +639,7 @@ def node_from_words(searcher: _Search, words) -> _Node:
     for w in words:
         c = _root_copy(searcher)
         for s in w:
-            c = searcher.reflect_copy(_Node((c,)), 0, s)
+            c = searcher.reflect_copy(c, s)
         copies.append(c)
     return _Node(tuple(copies))
 

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatbilliards import fileio
 from flatbilliards.cli import main
@@ -360,3 +366,35 @@ def test_atomic_write_replaces(tmp_path):
     fileio.write_json(str(target), {"a": 2})
     assert json.loads(target.read_text()) == {"a": 2}
     assert list(tmp_path.iterdir()) == [target]
+
+
+_SIDE = st.one_of(
+    st.integers(-2, 6), st.floats(), st.booleans(), st.none()
+)
+_BASES = [
+    {"triangle": ["1/2", "1/8", "3/8"]},
+    {"triangle": ["1/2", "1/4", "1/3"]},  # angles sum past pi
+    {"triangle": ["3/2", "-1/4", "-1/4"]},  # negative angles
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    words=st.lists(st.lists(_SIDE, max_size=6), max_size=6),
+    base=st.sampled_from(_BASES),
+)
+def test_check_cover_ends_in_a_verdict_or_a_diagnostic(words, base):
+    # any tiling document of short words over a valid or malformed base:
+    # check-cover prints a verdict, or exits 1 with a JSON diagnostic
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "tiling.json")
+        with open(path, "w") as fh:
+            json.dump({"base": base, "words": words}, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check-cover", "--in", path])
+    if code == 0:
+        assert json.loads(out.getvalue())["copies"] == len(words)
+    else:
+        assert code == 1 and not out.getvalue()
+        assert {"error", "message"} <= json.loads(err.getvalue()).keys()

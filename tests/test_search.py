@@ -24,7 +24,7 @@ from flatbilliards.unfolding import unfold
 def _searcher(family, n, max_copies):
     e = make_entry(family, n)
     return _Search(e.polygon, _StatusOracle(unfold(e.polygon), e.facts),
-                   max_copies)
+                   max_copies, max_nodes=200000)
 
 
 def test_immediate_angle_bound():
@@ -225,14 +225,25 @@ def test_packed_vertex_keys_match_exact_positions(family, n):
         ]
 
 
+def _point_rows(points):
+    """A point table as a list, in order, with its lists copied."""
+    return [
+        (key, list(rec["corners"]), list(rec["ext"]), rec["label"],
+         rec["sigma"])
+        for key, rec in points.items()
+    ]
+
+
 @pytest.mark.parametrize("family,n,K", [("2", 5, 6), ("5a", None, 10)])
 def test_identity_reads_no_float(family, n, K):
     # which vertices, sides and translates coincide is decided by the
     # exact vertex keys and anchors: with every float vertex gone,
-    # analyze_node and _translation_recurrence give the same answers
+    # analyze_node and _translation_recurrence give the same answers,
+    # and so does every step of forced_sim's running analysis
     searcher = _searcher(family, n, K)
-    analyses, recurrences = [], []
+    analyses, recurrences, steps = [], [], []
     real_an, real_rec = searcher.analyze_node, searcher._translation_recurrence
+    real_add = searcher.add_copy
 
     def analyze(node):
         analyses.append((node.copies, real_an(node)))
@@ -242,14 +253,22 @@ def test_identity_reads_no_float(family, n, K):
         recurrences.append((tuple(copies), real_rec(copies)))
         return recurrences[-1][1]
 
+    def add_copy(an, c):
+        real_add(an, c)
+        steps.append((tuple(an.copies), list(an.sides.values()),
+                      _point_rows(an.points)))
+
     searcher.analyze_node = analyze
     searcher._translation_recurrence = recurrence
+    searcher.add_copy = add_copy
     report = SearchReport(family, n, 1, K, "none_found",
                           statistics={"nodes": 0})
     _run_enumeration(searcher, report, want="appropriate")
+    del searcher.add_copy
     if family == "5a":
         assert {hit for _, hit in recurrences} == {True, False}
-    for copies, _ in analyses + recurrences:
+    assert max(len(copies) for copies, _, _ in steps) > K
+    for copies, *_ in analyses + recurrences + steps:
         for c in copies:
             c.verts = None
     fields = ("external", "points", "boundary", "complete")
@@ -258,6 +277,130 @@ def test_identity_reads_no_float(family, n, K):
         assert all(getattr(again, f) == getattr(an, f) for f in fields)
     for copies, hit in recurrences:
         assert real_rec(copies) == hit
+    for copies, external, rows in steps:
+        again = real_an(_Node(copies))
+        assert again.external == external
+        assert _point_rows(again.points) == rows
+
+
+def _rebuilt(searcher, copies):
+    """External sides, points, boundary and completeness of a tiling,
+    rebuilt from scratch rather than grown copy by copy."""
+    k = searcher.k
+    sides = {}
+    for ci, c in enumerate(copies):
+        for s in range(k):
+            ends = frozenset((c.vkeys[s], c.vkeys[(s + 1) % k]))
+            sides.setdefault(ends, []).append((ci, s))
+    external = [own[0] for own in sides.values() if len(own) == 1]
+    points = {}
+    for ci, c in enumerate(copies):
+        for v in range(k):
+            rec = points.setdefault(c.vkeys[v], {"corners": [], "ext": []})
+            rec["corners"].append((ci, v))
+    for ci, s in external:
+        c = copies[ci]
+        points[c.vkeys[s]]["ext"].append((ci, s))
+        points[c.vkeys[(s + 1) % k]]["ext"].append((ci, s))
+    for rec in points.values():
+        labels = {v for _, v in rec["corners"]}
+        rec["label"] = labels.pop() if len(labels) == 1 else None
+        rec["sigma"] = None
+        if rec["label"] is not None:
+            rec["sigma"] = len(rec["corners"]) * searcher.angles[rec["label"]]
+    boundary = {key: r for key, r in points.items() if r["ext"]}
+    complete = all(len(r["ext"]) == 2 for r in boundary.values()) and all(
+        r["sigma"] is not None for r in points.values()
+    )
+    return external, _point_rows(points), _point_rows(boundary), complete
+
+
+@pytest.mark.parametrize("family,n,K", [("2", 5, 6), ("2", 7, 6),
+                                        ("5a", None, 10)])
+def test_incremental_analysis_matches_rebuild(family, n, K):
+    # a grown node is its parent plus one copy.  After every add_copy,
+    # in analyze_node's fold and in forced_sim's running analysis, the
+    # sides and points are, in order, what a rebuild gives; and every
+    # read of the replay's legality table answers as a fresh
+    # legal_child on a new node.  The nodes are the retained lists and
+    # those the search replays from (5a at K=10 retains none).
+    searcher = _searcher(family, n, K)
+    nodes, reads = [], []
+    real_sim, real_add = searcher.forced_sim, searcher.add_copy
+    real_child = searcher.grown_child
+
+    def sim(node):
+        nodes.append(node)
+        return real_sim(node)
+
+    def add_copy(an, c):
+        real_add(an, c)
+        external, rows, _, _ = _rebuilt(searcher, an.copies)
+        assert list(an.sides.values()) == external
+        assert _point_rows(an.points) == rows
+
+    def grown_child(legal, copies, ci, s):
+        new = real_child(legal, copies, ci, s)
+        reads.append((tuple(copies), ci, s, new))
+        return new
+
+    searcher.forced_sim, searcher.add_copy = sim, add_copy
+    report = SearchReport(family, n, 1, K, "none_found",
+                          statistics={"nodes": 0})
+    _run_enumeration(searcher, report, want="appropriate")
+    del searcher.forced_sim
+    nodes += [node_from_words(searcher, words)
+              for kept in report.rejected.values() for words in kept]
+    assert nodes
+    for node in nodes:
+        for i in range(1, len(node.copies) + 1):
+            prefix = node.copies[:i]
+            an = searcher.analyze_node(_Node(prefix))
+            assert (an.external, _point_rows(an.points),
+                    _point_rows(an.boundary), an.complete) == _rebuilt(
+                        searcher, prefix)
+    searcher.grown_child = grown_child
+    for node in nodes:
+        searcher.forced_sim(node)
+    del searcher.grown_child, searcher.add_copy
+    assert max(len(copies) for copies, *_ in reads) > K
+    for copies, ci, s, new in reads:
+        fresh = searcher.legal_child(_Node(copies), ci, s)
+        assert (new is None) == (fresh is None)
+        if new is not None:
+            assert (new.lin, new.vkeys, new.anchors) == (
+                fresh.lin, fresh.vkeys, fresh.anchors)
+
+
+_PINNED = [
+    ("2", 5, 6, {"nodes": 66, "congruent repeats": 110, "even angle": 62,
+                 "infinite forcing": 1, "locked periodic branch": 2,
+                 "two branch points": 3, "unbranched (lattice)": 1},
+     {"locked periodic branch": 2, "two branch points": 3}),
+    ("2", 7, 6, {"nodes": 60, "angle overflow": 6, "congruent repeats": 105,
+                 "even angle": 56, "infinite forcing": 1,
+                 "two branch points": 3, "unbranched (lattice)": 1},
+     {"two branch points": 3}),
+    ("6", 5, 6, {"nodes": 21, "congruent repeats": 20, "even angle": 19,
+                 "infinite forcing": 1, "locked periodic branch": 1,
+                 "locked two branch points": 1, "two branch points": 1,
+                 "unbranched (lattice)": 1},
+     {"locked periodic branch": 1, "locked two branch points": 1,
+      "two branch points": 1}),
+    ("5a", None, 10, {"nodes": 11, "congruent repeats": 24, "even angle": 11,
+                      "infinite forcing": 24},
+     {}),
+]
+
+
+@pytest.mark.parametrize("family,n,K,statistics,kept", _PINNED)
+def test_search_statistics_are_pinned(family, n, K, statistics, kept):
+    # what the search visits, prunes and retains, counted tag by tag: a
+    # change to the search that alters any count must say why
+    r = search_appropriate(make_entry(family, n), K)
+    assert r.outcome == "none_found" and not r.candidates
+    assert r.statistics == statistics
+    assert {tag: len(lists) for tag, lists in r.rejected.items()} == kept
 
 
 def _float_class(searcher, copies):
