@@ -8,6 +8,13 @@ module verifies tilings exactly, computes the covering data (degree,
 branch locus, ramification indices, Riemann-Hurwitz bookkeeping), and
 decides whether the cover is branched over a single non-periodic
 point.
+
+A tiling is verified by its outline: once shared sides are mirror
+pairs and the union is connected, a simple counterclockwise outline
+rules out every overlap, so no side or vertex is tested against
+another copy.  Tiling symmetries are screened the same way: a group
+element is tested on the copies' vertices only when it maps the
+outline's edge sequence onto a cyclic shift of itself.
 """
 
 from __future__ import annotations
@@ -85,16 +92,26 @@ class Tiling:
         return len(self.motions)
 
 
-def _copy_boundary_ccw(verts, det):
-    return list(verts) if det == 1 else list(reversed(verts))
-
-
 def verify_tiling(P: Polygon, motions) -> Tiling:
     """Check the tiling invariants exactly and extract the outline.
 
-    Raises CoverError on overlapping copies, partial side sharing,
-    non-mirror adjacency, a disconnected union, or a non-simple
-    outline.
+    Raises CoverError on coinciding copies, a side with more than two
+    owners, non-mirror adjacency, a disconnected union, or an outline
+    that is pinched, has a hole, or is not a simple counterclockwise
+    polygon.
+
+    No side or vertex is tested against another copy: these checks
+    already rule out every overlap, crossing, T-junction and partial
+    side.  Each copy, traversed counterclockwise, is a simple polygon.
+    Every internal pair is a full side shared by two mirror copies,
+    which traverse it in opposite directions, so the two traversals
+    cancel and the copies' boundaries sum, as a chain, to the outline.
+    The sum of the copies' indicator functions therefore equals the
+    outline's winding number almost everywhere: 1 inside and 0 outside
+    a simple counterclockwise outline.  So the copies' interiors are
+    disjoint and fill Q, and a vertex of one copy inside a side of
+    another would leave part of a copy outside Q or over its mirror
+    partner.  The area check is a cheap cross-check of the count.
     """
     motions = tuple(motions)
     if not motions:
@@ -141,63 +158,21 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
         else:
             external.append(owners[0])
 
-    # mirror adjacency across every internal side
-    for (ci, si), (cj, sj) in internal_pairs:
-        a = copy_vertices[ci][si]
+    # mirror adjacency across every internal side: an affine map is
+    # fixed by three non-collinear vertices, so comparing motions
+    # compares every placed vertex
+    for (ci, si), (cj, _) in internal_pairs:
         d = motions[ci].orth.apply_angle(P.edges[si].direction.multiple)
-        mirror = reflection_across_line(a, d)
-        for v1, v2 in zip(copy_vertices[ci], copy_vertices[cj]):
-            if not planar.veq(mirror.apply(v1), v2):
-                raise CoverError(
-                    "adjacent copies are not mirror images across their "
-                    "shared side"
-                )
-
-    # no partial overlaps, crossings, or T-junctions between sides
-    all_sides = []
-    for c, verts in enumerate(copy_vertices):
-        for s in range(k):
-            all_sides.append((c, verts[s], verts[(s + 1) % k]))
-    for i in range(len(all_sides)):
-        ci, a1, b1 = all_sides[i]
-        for j in range(i + 1, len(all_sides)):
-            cj, a2, b2 = all_sides[j]
-            if ci == cj:
-                continue
-            same = frozenset((planar.vkey(a1), planar.vkey(b1))) == frozenset(
-                (planar.vkey(a2), planar.vkey(b2))
+        mirrored = reflection_across_line(
+            copy_vertices[ci][si], d
+        ).compose(motions[ci])
+        if mirrored.orth != motions[cj].orth or not planar.veq(
+            mirrored.shift, motions[cj].shift
+        ):
+            raise CoverError(
+                "adjacent copies are not mirror images across their "
+                "shared side"
             )
-            if same:
-                continue
-            info = planar.segments_overlap_info(a1, b1, a2, b2)
-            if info == "overlap":
-                raise CoverError("copies share a partial side")
-            if info == "point":
-                endpoint_touch = any(
-                    planar.veq(p, q)
-                    for p in (a1, b1)
-                    for q in (a2, b2)
-                )
-                if not endpoint_touch:
-                    raise CoverError(
-                        "copy boundaries cross or form a T-junction"
-                    )
-
-    # no vertex strictly inside another copy
-    for c, verts in enumerate(copy_vertices):
-        ring = _copy_boundary_ccw(verts, motions[c].orth.det)
-        for c2, verts2 in enumerate(copy_vertices):
-            if c2 == c:
-                continue
-            for v in verts2:
-                on_boundary = any(
-                    planar.on_segment(v, verts[s], verts[(s + 1) % k])
-                    for s in range(k)
-                )
-                if on_boundary:
-                    continue
-                if planar.point_in_polygon(v, ring):
-                    raise CoverError("copies overlap")
 
     # connectivity through shared sides
     adjacency = {c: set() for c in range(len(motions))}
@@ -264,12 +239,15 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
     try:
         outline = Polygon(edges)
     except PolygonError as exc:
-        raise CoverError(f"outline is not a simple polygon: {exc}") from exc
-
-    # area conservation closes the overlap argument
+        raise CoverError(
+            f"copies overlap or cross: outline is not a simple polygon: {exc}"
+        ) from exc
     want = P.area_twice() * len(motions)
     if not (outline.area_twice() - want).is_zero:
-        raise CoverError("outline area does not match the copy count")
+        raise CoverError(
+            "copies overlap or cross: outline area does not match the "
+            "copy count"
+        )
 
     return Tiling(
         base=P,
@@ -358,17 +336,34 @@ def _config_key(copy_vertices):
 
 def tiling_symmetries(t: Tiling) -> list:
     """Linear maps of the base group carrying the tiling to a translate
-    of itself."""
-    G_P = group_of(t.base)
-    base_key = _config_key(t.copy_vertices)
+    of itself.
+
+    gT = T + tau forces gQ = Q + tau for the outline Q, so g must first
+    map Q's edge sequence (direction, length key) onto a cyclic shift
+    of itself; a reflection reverses the sequence and turns each edge
+    around.  Only a g that passes this exact screen is tested on the
+    copies' vertices, and the identity needs no test.
+    """
+    seq = [(e.direction.multiple, e.length.key()) for e in t.outline.edges]
+    shifts = {tuple(seq[i:] + seq[:i]) for i in range(len(seq))}
+    base_key = None
     out = []
-    for g in G_P.elements():
-        moved = [
-            tuple(g.apply_vec(v) for v in verts)
-            for verts in t.copy_vertices
-        ]
-        if _config_key(moved) == base_key:
-            out.append(g)
+    for g in group_of(t.base).elements():
+        img = [(g.apply_angle(d), key) for d, key in seq]
+        if g.det == -1:
+            img = [((d + 1) % 2, key) for d, key in reversed(img)]
+        if tuple(img) not in shifts:
+            continue
+        if g != LinearMap.identity():
+            if base_key is None:
+                base_key = _config_key(t.copy_vertices)
+            moved = [
+                tuple(g.apply_vec(v) for v in verts)
+                for verts in t.copy_vertices
+            ]
+            if _config_key(moved) != base_key:
+                continue
+        out.append(g)
     return out
 
 

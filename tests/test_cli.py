@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 import time
@@ -398,3 +399,106 @@ def test_check_cover_ends_in_a_verdict_or_a_diagnostic(words, base):
     else:
         assert code == 1 and not out.getvalue()
         assert {"error", "message"} <= json.loads(err.getvalue()).keys()
+
+
+# polygon and exact-value documents: every field may be malformed.
+# Denominators stay small: a polygon's conductor has no limit yet, and
+# a direction such as 1/10007 runs past 30 s before it is refused.
+_RATIONAL = st.one_of(
+    st.fractions(max_denominator=24).map(str),
+    st.integers(-5, 5),
+    st.sampled_from(["1/0", "", "x", "1/2/3", "1e3", "nan", "inf", " 3/8 "]),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+def _phi(n):
+    return sum(1 for j in range(1, n + 1) if math.gcd(j, n) == 1)
+
+
+_EXACT = st.one_of(
+    _RATIONAL,
+    st.sampled_from(
+        ["sin(1/8)", "2*cos(1/5)-1", "sqrt(2)", "sin(", "1/(1-1)", "-1", "0"]
+    ),
+    # a conductor with a coefficient list of the right length or not
+    st.integers(-2, 30).flatmap(
+        lambda n: st.fixed_dictionaries(
+            {
+                "conductor": st.one_of(
+                    st.just(n), st.floats(), st.booleans(), st.text(max_size=3)
+                ),
+                "coeffs": st.lists(
+                    _RATIONAL,
+                    min_size=_phi(max(n, 1)) - 1,
+                    max_size=_phi(max(n, 1)) + 1,
+                ),
+            }
+        )
+    ),
+    st.fixed_dictionaries({"conductor": st.integers(1, 30)}),
+)
+_VALID_EDGES = [
+    fileio.polygon_to_json(triangle_from_angles(F(1, 2), F(1, 8), F(3, 8))),
+    _square({"direction": "0", "length": "1"}),
+]
+
+
+@st.composite
+def _polygon_documents(draw):
+    # a valid polygon with one field replaced, or edges drawn at random
+    if draw(st.booleans()):
+        doc = json.loads(json.dumps(draw(st.sampled_from(_VALID_EDGES))))
+        edge = draw(st.sampled_from(doc["edges"]))
+        field = draw(st.sampled_from(["direction", "length", "coeffs"]))
+        if field == "coeffs" and isinstance(edge["length"], dict):
+            coeffs = edge["length"]["coeffs"]
+            coeffs[draw(st.integers(0, len(coeffs) - 1))] = draw(_RATIONAL)
+        elif field == "direction":
+            edge["direction"] = draw(_RATIONAL)
+        else:
+            edge["length"] = draw(_EXACT)
+        return doc
+    edge = st.one_of(
+        st.fixed_dictionaries({"direction": _RATIONAL, "length": _EXACT}),
+        st.fixed_dictionaries({"direction": _RATIONAL}),
+        _RATIONAL,
+    )
+    return {"edges": draw(st.one_of(st.lists(edge, max_size=5), _RATIONAL))}
+
+
+_DOMAIN_ERRORS = {
+    "FormatError",
+    "PolygonError",
+    "ExactError",
+    "CoverError",
+    "SurfaceError",
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=_polygon_documents(), command=st.sampled_from(["analyze", "check"]))
+def test_polygon_documents_end_in_a_result_or_a_diagnostic(doc, command):
+    # analyze reads the document as a polygon, check-cover as the base
+    # of a two-copy tiling; either prints a result or exits 1 with a
+    # JSON diagnostic of one of the library's error classes
+    if command == "check":
+        doc = {"base": doc, "words": [[], [0]]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(
+                ["analyze" if command == "analyze" else "check-cover",
+                 "--in", path]
+            )
+    if code == 0:
+        assert json.loads(out.getvalue())
+    else:
+        assert code == 1 and not out.getvalue()
+        assert json.loads(err.getvalue())["error"] in _DOMAIN_ERRORS

@@ -1,12 +1,19 @@
+import json
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from flatbilliards import covers, fileio, planar
+from flatbilliards.catalog import make_entry
+from flatbilliards.cli import main
 from flatbilliards.covers import (
     CoverError,
+    _config_key,
     analyze_cover,
     appropriate_verdict,
     motion_from_word,
+    motions_from_words,
     tile_by_words,
     tiling_symmetries,
     verify_tiling,
@@ -17,6 +24,7 @@ from flatbilliards.polygons import (
     LinearMap,
     Motion,
     Polygon,
+    group_of,
     triangle_from_angles,
 )
 
@@ -180,9 +188,17 @@ def test_word_motions():
 
 
 def test_rejects_overlapping_copies():
+    # 7 copies fanned around the 3pi/10 vertex of (1/2, 1/5, 3/10) turn
+    # 21pi/10: each copy mirrors the one before across a shared side and
+    # no two coincide, so only the outline shows the overlap
     P = triangle_from_angles(*P5)
-    words = [[(0 if i % 2 == 0 else 1) for i in range(j)] for j in range(7)]
-    with pytest.raises(CoverError):
+    assert P.angles()[1].multiple == F(3, 10)
+    words = fan_words(7, 0, 1)
+    assert tile_by_words(P, words[:6]).n_copies == 6
+    assert len({motion_from_word(P, w).key() for w in words}) == 7
+    with pytest.raises(
+        CoverError, match="copies overlap or cross: outline is not a simple"
+    ):
         tile_by_words(P, words)
 
 
@@ -211,7 +227,8 @@ def test_rejects_partial_side_sharing():
     half_up = Motion(
         LinearMap.reflection(F(1, 2)), (embed(2), embed(F(1, 2)))
     )
-    with pytest.raises(CoverError):
+    # a side shared in part is no shared side, so nothing joins the two
+    with pytest.raises(CoverError, match="disconnected"):
         verify_tiling(sq, [Motion.identity(), half_up])
 
 
@@ -220,3 +237,144 @@ def test_rejects_orthogonal_part_outside_group():
     bad = Motion(LinearMap.rotation(F(1, 3)), (embed(0), embed(0)))
     with pytest.raises(CoverError, match="reflection group"):
         verify_tiling(sq, [Motion.identity(), bad])
+
+
+# ---------------------------------------------------------------------------
+# the outline argument against the pairwise rule it replaced
+
+
+def _reference_pairwise_refusal(P, motions):
+    """The pairwise side and vertex tests verify_tiling once ran: the
+    message they refused with, or None."""
+    k = len(P.edges)
+    copies = [[mo.apply(v) for v in P.vertices()] for mo in motions]
+    sides = [
+        (c, verts[s], verts[(s + 1) % k])
+        for c, verts in enumerate(copies)
+        for s in range(k)
+    ]
+    for i, (ci, a1, b1) in enumerate(sides):
+        for cj, a2, b2 in sides[i + 1:]:
+            ends = {planar.vkey(a1), planar.vkey(b1)}
+            if ci == cj or ends == {planar.vkey(a2), planar.vkey(b2)}:
+                continue
+            info = planar.segments_overlap_info(a1, b1, a2, b2)
+            if info == "overlap":
+                return "copies share a partial side"
+            if info == "point" and not any(
+                planar.veq(p, q) for p in (a1, b1) for q in (a2, b2)
+            ):
+                return "copy boundaries cross or form a T-junction"
+    for mo, verts in zip(motions, copies):
+        ring = verts if mo.orth.det == 1 else verts[::-1]
+        for other in copies:
+            if other is verts:
+                continue
+            for v in other:
+                if not any(
+                    planar.on_segment(v, verts[s], verts[(s + 1) % k])
+                    for s in range(k)
+                ) and planar.point_in_polygon(v, ring):
+                    return "copies overlap"
+    return None
+
+
+def _grown_words(P, rng, count):
+    """Reflection-grown words: each new copy mirrors an earlier one
+    across one of its sides, so the union is connected; copies may
+    overlap, and no two have the same motion."""
+    words, seen = [[]], {Motion.identity().key()}
+    while len(words) < count:
+        last = words[-1] if rng.random() < 0.5 else rng.choice(words)
+        w = last + [rng.randrange(len(P.edges))]
+        key = motion_from_word(P, w).key()
+        if key not in seen:
+            seen.add(key)
+            words.append(w)
+    return words
+
+
+def _brute_symmetries(t):
+    base = _config_key(t.copy_vertices)
+    return [
+        g
+        for g in group_of(t.base).elements()
+        if _config_key(
+            [tuple(g.apply_vec(v) for v in verts) for verts in t.copy_vertices]
+        )
+        == base
+    ]
+
+
+SOUNDNESS_BASES = [
+    ("2", 5), ("2", 8), ("10", None), ("5a", None), ("8", None), ("6", 5)
+]
+
+
+def test_outline_argument_agrees_with_the_pairwise_rule():
+    # the family 8 base has a reflex corner; every tiling below is
+    # connected through mirror-shared sides, and many overlap
+    rng = random.Random(14)
+    accepted = outline_refusals = 0
+    for family, n in SOUNDNESS_BASES:
+        P = make_entry(family, n).polygon
+        for _ in range(8):
+            words = _grown_words(P, rng, rng.randint(1, 9))
+            motions = motions_from_words(P, words)
+            try:
+                t = verify_tiling(P, motions)
+            except CoverError as exc:
+                if "copies overlap or cross" in str(exc):
+                    # refusals that the pairwise rule gave before
+                    outline_refusals += 1
+                    assert _reference_pairwise_refusal(P, motions)
+                continue
+            # accepted, so the pairwise rule passes: every tiling it
+            # refuses is refused
+            accepted += 1
+            assert _reference_pairwise_refusal(P, motions) is None
+            assert tiling_symmetries(t) == _brute_symmetries(t)
+    assert accepted >= 30 and outline_refusals >= 5
+
+
+def test_check_cover_runs_no_pairwise_tests(tmp_path, monkeypatch, capsys):
+    # a valid 7-copy tiling through the CLI: side pairs are tested only
+    # by Polygon's simplicity check of the base (k sides) and of the
+    # outline (E edges), and _config_key runs only for the group
+    # elements that map the outline onto a translate of itself
+    sq = square()
+    words = [[], [1], [2], [3], [0], [3, 2], [3, 0]]
+    t = tile_by_words(sq, words)
+    G = group_of(sq).elements()
+    outline_key = _config_key([t.outline_points])
+    passing = [
+        g
+        for g in G[1:]
+        if _config_key([[g.apply_vec(p) for p in t.outline_points]])
+        == outline_key
+    ]
+    assert 0 < len(passing) < len(G) - 1
+    calls = {"segments": 0, "config": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        planar,
+        "segments_overlap_info",
+        counted("segments", planar.segments_overlap_info),
+    )
+    monkeypatch.setattr(
+        covers, "_config_key", counted("config", covers._config_key)
+    )
+    path = tmp_path / "tiling.json"
+    path.write_text(json.dumps(fileio.tiling_to_json(sq, words)))
+    assert main(["check-cover", "--in", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["copies"] == 7
+    E, k = len(t.outline.edges), len(sq.edges)
+    assert calls["segments"] <= E * (E - 1) // 2 + k * (k - 1) // 2
+    assert calls["config"] == 1 + len(passing)
