@@ -81,7 +81,7 @@ def _cmd_unfold(args) -> int:
     if args.out:
         fileio.write_json(args.out, fileio.surface_to_json(M))
     if args.svg:
-        fileio.svg_of_polygons([f.vertices for f in M.faces], args.svg)
+        fileio.svg_of_polygons(M.vertices, args.svg)
     _print(
         {
             "faces": len(M.faces),

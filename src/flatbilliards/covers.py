@@ -98,7 +98,7 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
     Raises CoverError on coinciding copies, a side with more than two
     owners, non-mirror adjacency, a disconnected union, or an outline
     that is pinched, has a hole, or is not a simple counterclockwise
-    polygon.
+    polygon (a pinch may also come from overlapping copies).
 
     No side or vertex is tested against another copy: these checks
     already rule out every overlap, crossing, T-junction and partial
@@ -199,7 +199,8 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
             d = (d + 1) % 2
         key = planar.vkey(a)
         if key in directed:
-            raise CoverError("outline is pinched at a point")
+            raise CoverError("copies overlap or the union touches itself: "
+                             "outline is pinched at a point")
         directed[key] = (a, b, d, P.edges[s].length)
     start_key = next(iter(directed))
     cycle = []

@@ -21,10 +21,11 @@ over the primes reaches the smallest.
 Square roots are not a primitive: surd identities are verified by
 polynomial relations on trig combinations instead.
 
-The module's tables (_CONTEXTS and _CYCLO_CACHE per conductor,
-_COS_FLOORS per conductor and precision, _TRIG_CACHE per angle) are
-never evicted: in a long-lived process they grow with each new
-conductor, precision and angle.
+Every conductor n has phi(n) <= MAX_DEGREE; a larger one is refused
+with ExactError before anything is built for it.  The module's tables
+(_CONTEXTS per conductor, _COS_FLOORS per conductor and precision,
+_TRIG_CACHE per angle) are never evicted: in a long-lived process they
+grow with each new conductor, precision and angle.
 """
 
 from __future__ import annotations
@@ -62,42 +63,36 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials, highest degree last."""
-    num = list(num)
-    dd = len(den) - 1
-    lead = den[-1]
-    out = [0] * (len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q, r = divmod(c, lead)
-        if r:
-            raise ArithmeticError("non-exact polynomial division")
-        out[i - dd] = q
-        for j, dj in enumerate(den):
-            num[i - dd + j] -= q * dj
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
+def totient(n: int) -> int:
+    """Euler's phi: the degree of Q(zeta_n), and the number of
+    coefficients of a value stored at conductor n."""
+    out = n
+    for p in prime_factors(n):
+        out -= out // p
     return out
 
 
-_CYCLO_CACHE: dict[int, tuple[int, ...]] = {}
-
-
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, low first."""
-    cached = _CYCLO_CACHE.get(n)
-    if cached is not None:
-        return cached
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divide_exact(poly, list(cyclotomic_polynomial(d)))
-    result = tuple(poly)
-    _CYCLO_CACHE[n] = result
-    return result
+    """Integer coefficients of the n-th cyclotomic polynomial, low first:
+    for n > 1, the power series prod over d | n of (1 - x**d)**mu(n/d),
+    one pass over phi(n) + 1 coefficients per squarefree n/d."""
+    if n == 1:
+        return (-1, 1)
+    phi = totient(n)
+    poly = [1] + [0] * phi
+    primes = prime_factors(n)
+    for mask in range(1 << len(primes)):
+        d = n
+        for i, p in enumerate(primes):
+            if mask >> i & 1:
+                d //= p
+        if bin(mask).count("1") % 2 == 0:
+            for j in range(phi, d - 1, -1):
+                poly[j] -= poly[j - d]
+        else:
+            for j in range(d, phi + 1):
+                poly[j] += poly[j - d]
+    return tuple(poly)
 
 
 class _Context:
@@ -139,10 +134,19 @@ class _Context:
 
 _CONTEXTS: dict[int, _Context] = {}
 
+# the largest degree phi(n) of a conductor n.  A product costs about
+# phi(n)**2 and cos_pi's reduction rows (n - phi(n)) * phi(n): on one
+# Xeon core `analyze --triangle 1/2,1/997,995/1994` (n 3988, phi 1992)
+# takes about 2 s, and about 6 s at the largest admitted n, 9240.
+MAX_DEGREE = 2048
+
 
 def _context(n: int) -> _Context:
     ctx = _CONTEXTS.get(n)
     if ctx is None:
+        # phi(n) >= sqrt(n / 2): a larger n needs no factoring
+        if n > 2 * MAX_DEGREE ** 2 or totient(n) > MAX_DEGREE:
+            raise ExactError(f"conductor {n} exceeds MAX_DEGREE {MAX_DEGREE}")
         ctx = _Context(n)
         _CONTEXTS[n] = ctx
     return ctx
@@ -280,11 +284,11 @@ class CyclotomicReal:
             return self
         if m % n != 0:
             raise ExactError(f"cannot lift conductor {n} to {m}")
+        ctx = _context(m)
         step = m // n
         coeffs = [0] * ((len(self.num) - 1) * step + 1)
         for j, c in enumerate(self.num):
             coeffs[j * step] = c
-        ctx = _context(m)
         return CyclotomicReal(m, ctx.reduce(coeffs), self.den, _trusted=True)
 
     @property
@@ -571,10 +575,10 @@ def cos_pi(q) -> CyclotomicReal:
     n = q.denominator
     m = q.numerator
     c = 2 * n
+    ctx = _context(c)
     coeffs = [0] * c
     coeffs[m % c] += 1
     coeffs[(-m) % c] += 1
-    ctx = _context(c)
     value = CyclotomicReal(c, ctx.reduce(coeffs), 2, _trusted=True)
     _TRIG_CACHE[q] = value
     return value

@@ -14,8 +14,8 @@ import os
 import tempfile
 from fractions import Fraction
 
-from .cyclotomic import CyclotomicReal, ParseError, embed, parse_constant
-from .cyclotomic import prime_factors
+from .cyclotomic import (CyclotomicReal, ParseError, embed, parse_constant,
+                         totient)
 from .polygons import Edge, Polygon, triangle_from_angles
 
 F = Fraction
@@ -54,11 +54,11 @@ def cyc_from_json(doc) -> CyclotomicReal:
             raise FormatError(f"conductor must be a positive integer: {n!r}")
         coeffs = doc["coeffs"]
         # phi(n) >= sqrt(n / 2): a larger n cannot match the list, and
-        # the trial division in _totient stays within the input's size
+        # the trial division in totient stays within the input's size
         if (
             not isinstance(coeffs, list)
             or 2 * len(coeffs) ** 2 < n
-            or len(coeffs) != _totient(n)
+            or len(coeffs) != totient(n)
         ):
             raise FormatError(f"conductor {n} needs phi({n}) coefficients")
         coeffs = [fraction_from_str(c) for c in coeffs]
@@ -66,14 +66,6 @@ def cyc_from_json(doc) -> CyclotomicReal:
         nums = [int(c * den) for c in coeffs]
         return CyclotomicReal(n, nums, den)
     raise FormatError(f"not an exact value: {doc!r}")
-
-
-def _totient(n: int) -> int:
-    """Euler's phi: the number of coefficients at conductor n."""
-    out = n
-    for p in prime_factors(n):
-        out -= out // p
-    return out
 
 
 def fraction_to_str(q) -> str:
@@ -169,7 +161,7 @@ def surface_to_json(M) -> dict:
                 },
                 "vertices": [
                     [cyc_to_json(v[0]), cyc_to_json(v[1])]
-                    for v in f.vertices
+                    for v in M.vertices[f.index]
                 ],
             }
             for f in M.faces

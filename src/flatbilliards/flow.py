@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import planar
 from .cyclotomic import (ZERO, CyclotomicReal, cos_pi, embed, is_rational,
-                         prime_factors, sin_pi)
+                         sin_pi, totient)
 from .planar import vadd, vkey, vscale, vsub
 from .polygons import LinearMap, _angle_value
 from .unfolding import ConePoint, SurfaceError, TranslationSurface
@@ -124,10 +124,8 @@ class Decomposition:
 
 def _check_degree(M: TranslationSurface, theta: Fraction):
     n = math.lcm(cos_pi(theta).n, sin_pi(theta).n,
-                 *(x.n for f in M.faces for v in f.vertices for x in v))
-    phi = n
-    for p in prime_factors(n):
-        phi -= phi // p
+                 *(x.n for vs in M.vertices for v in vs for x in v))
+    phi = totient(n)
     if phi > MAX_CHART_DEGREE:
         raise FlowError(f"direction {theta}: chart conductor {n} of degree "
                         f"{phi} > MAX_CHART_DEGREE ({MAX_CHART_DEGREE})")
@@ -163,8 +161,8 @@ class _Chart:
         self.M = M
         self.theta = theta
         rot = LinearMap.rotation(-theta)
-        self.verts = [tuple(map(rot.apply_vec, f.vertices)) for f in M.faces]
-        # own start -> partner end, as in TranslationSurface.translations
+        self.verts = [tuple(map(rot.apply_vec, vs)) for vs in M.vertices]
+        # own start -> partner end
         self.tau = {
             (fi, p): vsub(self.verts[fj][(q + 1) % M.k], self.verts[fi][p])
             for (fi, p), (fj, q) in M.pairing.items()

@@ -248,12 +248,13 @@ class _Search:
         """Vertex tables E and FV, and the anchor deltas.
 
         E[h][j] is the exact position h.v_j of base vertex j under group
-        element h, packed: both coordinates in the power basis of one
-        cyclotomic field over one common denominator.  FV[h][j] is the
-        same point as floats.  deltas[g][s][i] is what reflecting a copy
-        with linear part g across its side s adds to the anchor g_i.t:
-        the motion g.x + t becomes g'.x + t' with g' = refl_lin[g][s]
-        and t' = t + g.v_s - g'.v_s, so g_i.t gains
+        element h, read from the surface's face h, packed: both
+        coordinates in the power basis of one cyclotomic field over one
+        common denominator.  FV[h][j] is the same point as floats.
+        deltas[g][s][i] is what reflecting a copy with linear part g
+        across its side s adds to the anchor g_i.t: the motion g.x + t
+        becomes g'.x + t' with g' = refl_lin[g][s] and
+        t' = t + g.v_s - g'.v_s, so g_i.t gains
         E[g_i.g][s] - E[g_i.g'][s].
 
         Digit bound.  Let B = max|E| over all coefficients.  A node,
@@ -266,9 +267,10 @@ class _Search:
         and two anchors by at most 4(longest_word - 1)B.  Both stay
         below 4 longest_word B < 2**(width - 1), so two packed keys or
         anchors are equal exactly when their vectors are."""
-        points = [
-            [g.apply_vec(v) for v in self.P.vertices()] for g in self.elements
-        ]
+        points = [[None] * self.k for _ in self.elements]
+        for face, placed in zip(self.M.faces, self.M.vertices):
+            for p, j in enumerate(face.source_vertex):
+                points[face.index][j] = placed[p]
         FV = [[(float(x), float(y)) for x, y in row] for row in points]
         n = math.lcm(*(c.n for row in points for p in row for c in p))
         points = [[[c.lift(n) for c in p] for p in row] for row in points]

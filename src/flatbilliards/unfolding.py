@@ -1,11 +1,13 @@
 """Unfolding a rational polygon into a translation surface.
 
-The surface carries 2N faces, one per element of the dihedral group
-G_P, each placed in its own chart as the literal image g.P (linear
-part only, no translation).  Orientation-reversing copies traverse
-their boundary in reversed vertex order so that every face boundary is
-counterclockwise; side pastings are then genuine translations between
-charts.
+The surface M_P = P~/~ is 2N copies of P, one per element g of the
+dihedral group G_P, glued by translation.  A face is combinatorial, so
+the side pairing, vertex classes and genus come from group indices
+alone.  Orientation-reversing copies traverse their boundary in
+reversed vertex order so that every face boundary is counterclockwise;
+side pastings are then genuine translations between charts.  Only the
+flow and the surface dumps read coordinates; the surface's `vertices`
+table places each face as g.P (no translation) on its first read.
 """
 
 from __future__ import annotations
@@ -15,15 +17,8 @@ from fractions import Fraction
 
 from . import planar
 from .cyclotomic import CyclotomicReal
-from .polygons import (
-    DihedralGroup,
-    LinearMap,
-    Polygon,
-    PolygonError,
-    RationalAngle,
-    angle_data,
-    group_of,
-)
+from .polygons import (DihedralGroup, LinearMap, Polygon, RationalAngle,
+                       group_of)
 
 
 class SurfaceError(ValueError):
@@ -32,58 +27,38 @@ class SurfaceError(ValueError):
 
 @dataclass(frozen=True)
 class Side:
-    """One oriented boundary side of a placed face."""
+    """One oriented boundary side of a face: the side of P it copies
+    and its direction in the face's chart."""
 
     source: int  # index of the side of P this came from
-    start: tuple
-    end: tuple
-    direction: Fraction  # actual direction in this chart, units of pi mod 2
-
-    def vector(self):
-        return planar.vsub(self.end, self.start)
+    direction: Fraction  # units of pi mod 2
 
 
 class Face:
-    """One placed copy g.P with counterclockwise boundary."""
+    """One copy g.P, combinatorially: its group element `gmap`,
+    `source_vertex[p]`, the vertex of P at counterclockwise position p,
+    and `sides[p]`, the side from position p to p + 1.  Its coordinates
+    are the surface's `vertices[index]`."""
 
-    __slots__ = ("index", "gmap", "det", "vertices", "sides", "source_vertex")
+    __slots__ = ("index", "gmap", "det", "sides", "source_vertex")
 
     def __init__(self, index: int, gmap: LinearMap, polygon: Polygon):
         self.index = index
         self.gmap = gmap
         self.det = gmap.det
-        base = polygon.vertices()
-        k = len(base)
-        if self.det == 1:
-            placed = [gmap.apply_vec(v) for v in base]
-            self.vertices = tuple(placed)
-            self.source_vertex = tuple(range(k))
-            sources = list(range(k))
-        else:
-            order = [(k - p) % k for p in range(k)]
-            self.vertices = tuple(gmap.apply_vec(base[i]) for i in order)
-            self.source_vertex = tuple(order)
-            sources = [(k - 1 - p) % k for p in range(k)]
-        sides = []
-        for p in range(k):
-            s = sources[p]
-            d = polygon.edges[s].direction.multiple
-            if self.det == 1:
-                direction = gmap.apply_angle(d)
-            else:
-                direction = gmap.apply_angle((d + 1) % 2)
-            sides.append(
-                Side(
-                    source=s,
-                    start=self.vertices[p],
-                    end=self.vertices[(p + 1) % k],
-                    direction=direction,
-                )
-            )
-        self.sides = tuple(sides)
+        k = len(polygon.edges)
+        self.source_vertex = tuple(p * self.det % k for p in range(k))
+        # a reversed copy runs each source side backwards, turned by pi
+        turn = 0 if self.det == 1 else 1
+        self.sides = tuple(
+            Side(s, gmap.apply_angle(polygon.edges[s].direction.multiple
+                                     + turn))
+            for s in map(self.side_position_of_source, range(k))
+        )
 
     def side_position_of_source(self, s: int) -> int:
-        k = len(self.sides)
+        """Position of source side s, and the source side at position s."""
+        k = len(self.source_vertex)
         return s if self.det == 1 else (k - 1 - s) % k
 
 
@@ -111,17 +86,16 @@ class TranslationSurface:
     def __init__(self, polygon: Polygon):
         self.polygon = polygon
         self.group: DihedralGroup = group_of(polygon)
-        data = angle_data(polygon)
-        self.N = data["N"]
+        self.N = self.group.N
         self.faces = [
             Face(i, self.group.element(i), polygon)
             for i in range(2 * self.N)
         ]
         self.k = len(polygon.edges)
         self.pairing: dict = {}
-        self.translations: dict = {}
         self._build_pairing()
         self._cone_points = None
+        self._vertices = None
         self.decompositions: dict = {}  # memo of periodicity.classify_points
 
     # -- construction -----------------------------------------------------
@@ -137,7 +111,6 @@ class TranslationSurface:
                 fi2 = self.group.index_of(partner_map)
                 p2 = self.faces[fi2].side_position_of_source(s)
                 self.pairing[(face.index, p)] = (fi2, p2)
-        # validate involution + geometry
         for (fi, p), (fj, q) in self.pairing.items():
             if self.pairing[(fj, q)] != (fi, p):
                 raise SurfaceError("pairing is not an involution")
@@ -145,14 +118,33 @@ class TranslationSurface:
                 raise SurfaceError("pairing has a fixed side")
             a = self.faces[fi].sides[p]
             b = self.faces[fj].sides[q]
+            if a.source != b.source:
+                raise SurfaceError("paired sides copy different sides of P")
             if (a.direction - b.direction) % 2 != 1:
                 raise SurfaceError("paired sides are not anti-parallel")
-            va = a.vector()
-            vb = b.vector()
-            if not planar.is_zero_vec(planar.vadd(va, vb)):
-                raise SurfaceError("paired sides differ in length")
-            # gluing translation: own start -> partner end
-            self.translations[(fi, p)] = planar.vsub(b.end, a.start)
+
+    # -- coordinates --------------------------------------------------------
+
+    @property
+    def vertices(self) -> list:
+        """Face index -> its exact vertices g.v in counterclockwise
+        order.  Placed on the first read, which also checks that paired
+        sides cancel, and kept with the surface."""
+        if self._vertices is None:
+            base = self.polygon.vertices()
+            verts = [
+                tuple(f.gmap.apply_vec(base[i]) for i in f.source_vertex)
+                for f in self.faces
+            ]
+            k = self.k
+            # the sides cancel: end + partner's end = start + partner's start
+            for (fi, p), (fj, q) in self.pairing.items():
+                a, b = verts[fi], verts[fj]
+                if not planar.veq(planar.vadd(a[(p + 1) % k], b[(q + 1) % k]),
+                                  planar.vadd(a[p], b[q])):
+                    raise SurfaceError("paired sides differ in length")
+            self._vertices = verts
+        return self._vertices
 
     # -- vertex classes -----------------------------------------------------
 

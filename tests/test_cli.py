@@ -137,6 +137,42 @@ def test_direction_above_the_chart_degree_is_refused(capsys, command):
     assert "MAX_CHART_DEGREE" in err["message"]
 
 
+_BIG = 10**30
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--triangle", f"1/2,1/{_BIG},{_BIG // 2 - 1}/{_BIG}"],
+        ["cylinders", "--family", "2", "--n", "5",
+         "--direction", f"1/{_BIG + 1}"],
+        ["analyze", "--in", "EDGES"],
+    ],
+)
+def test_conductor_above_max_degree_is_refused(tmp_path, capsys, argv):
+    # a 31-digit denominator, and an edge direction of 1/10007 (a
+    # conductor of degree 10006): each is refused before its reduction
+    # data is built
+    if argv[-1] == "EDGES":
+        path = tmp_path / "edges.json"
+        path.write_text(json.dumps({"edges": [
+            {"direction": d, "length": "1"} for d in ("0", "1/10007", "1")
+        ]}))
+        argv = argv[:-1] + [str(path)]
+    t0 = time.perf_counter()
+    code, doc, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 1 and doc is None
+    assert err["error"] == "ExactError"
+    assert "MAX_DEGREE" in err["message"]
+
+
+def test_triangle_at_the_max_degree_is_analyzed(capsys):
+    # sin(pi/997) lives at conductor 3988, of degree 1992
+    code, doc, _ = run(capsys, "analyze", "--triangle", "1/2,1/997,995/1994")
+    assert code == 0 and doc["N"] == 1994
+
+
 def test_check_cover(tmp_path, capsys):
     tiling = tmp_path / "tiling.json"
     tiling.write_text(
@@ -402,10 +438,11 @@ def test_check_cover_ends_in_a_verdict_or_a_diagnostic(words, base):
 
 
 # polygon and exact-value documents: every field may be malformed.
-# Denominators stay small: a polygon's conductor has no limit yet, and
-# a direction such as 1/10007 runs past 30 s before it is refused.
+# Denominators may be large: a conductor above cyclotomic.MAX_DEGREE is
+# refused before anything is built for it.
 _RATIONAL = st.one_of(
     st.fractions(max_denominator=24).map(str),
+    st.fractions(max_denominator=10**40).map(str),
     st.integers(-5, 5),
     st.sampled_from(["1/0", "", "x", "1/2/3", "1e3", "nan", "inf", " 3/8 "]),
     st.floats(),
@@ -422,7 +459,8 @@ def _phi(n):
 _EXACT = st.one_of(
     _RATIONAL,
     st.sampled_from(
-        ["sin(1/8)", "2*cos(1/5)-1", "sqrt(2)", "sin(", "1/(1-1)", "-1", "0"]
+        ["sin(1/8)", "2*cos(1/5)-1", "sqrt(2)", "sin(", "1/(1-1)", "-1", "0",
+         "sin(1/10007)", "cos(1/1000000000000000000000000000001)"]
     ),
     # a conductor with a coefficient list of the right length or not
     st.integers(-2, 30).flatmap(

@@ -202,6 +202,22 @@ def test_rejects_overlapping_copies():
         tile_by_words(P, words)
 
 
+def test_pinch_refusal_names_an_overlap():
+    # over 6 n=5 the outline walk of these six copies meets a point
+    # twice, yet the first three copies already overlap: the refusal
+    # names both causes
+    P = make_entry("6", 5).polygon
+    words = [[], [0], [1], [1, 0], [1, 0, 2], [0, 2]]
+    with pytest.raises(CoverError, match="copies overlap or cross"):
+        tile_by_words(P, words[:3])
+    with pytest.raises(
+        CoverError,
+        match="copies overlap or the union touches itself: outline is "
+        "pinched at a point",
+    ):
+        tile_by_words(P, words)
+
+
 def test_rejects_coinciding_copies():
     P = triangle_from_angles(*P5)
     with pytest.raises(CoverError, match="coincide"):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -163,6 +164,38 @@ def test_trig_conductor_bound():
         for kind in ("cos", "sin"):
             v = cy.trig_of_rational_angle(q, kind)
             assert (4 * q.denominator) % v.key()[0] == 0
+
+
+def test_cyclotomic_polynomials_factor_x_n_minus_1():
+    # prod over d | n of Phi_d(x) is x**n - 1, and Phi_n has degree
+    # totient(n), the count of units mod n
+    def mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    for n in range(1, 61):
+        prod = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = mul(prod, cy.cyclotomic_polynomial(d))
+        assert prod == [-1] + [0] * (n - 1) + [1]
+        units = sum(1 for j in range(1, n + 1) if math.gcd(j, n) == 1)
+        assert len(cy.cyclotomic_polynomial(n)) - 1 == cy.totient(n) == units
+
+
+def test_conductor_above_max_degree_is_refused():
+    # refused from the size of n alone, or from its degree phi(n)
+    big = 2 * cy.MAX_DEGREE**2 + 1
+    with pytest.raises(cy.ExactError, match="MAX_DEGREE"):
+        cy.cos_pi(F(1, big))
+    with pytest.raises(cy.ExactError, match="MAX_DEGREE"):
+        cy.sin_pi(F(1, 10007))  # conductor 20014, degree 10006
+    assert cy.totient(4124) > cy.MAX_DEGREE
+    with pytest.raises(cy.ExactError, match="MAX_DEGREE"):
+        cy.embed(1).lift(4124)
 
 
 def test_interval_refinement():

@@ -14,7 +14,7 @@ from flatbilliards.flow import (
     cylinder_decomposition,
     height_split,
 )
-from flatbilliards.planar import cross, dot, vneg
+from flatbilliards.planar import cross, dot, vneg, vsub
 from flatbilliards.polygons import Edge, Polygon, triangle_from_angles
 from flatbilliards.unfolding import unfold
 
@@ -238,13 +238,19 @@ def test_chords_are_parallel_to_the_direction():
         assert n_chords > 0
 
 
+def _side_vector(M, fi, p):
+    # side p of face fi, from its placed vertices
+    verts = M.vertices[fi]
+    return vsub(verts[(p + 1) % M.k], verts[p])
+
+
 def _reference_corner_mode(M, corner, u):
     # reference rule on exact vectors: signs of cross and dot products of
     # the direction vector u with the corner's two sides
     fi, p = corner
     face = M.faces[fi]
-    a = face.sides[p].vector()
-    b = vneg(face.sides[(p - 1) % M.k].vector())
+    a = _side_vector(M, fi, p)
+    b = vneg(_side_vector(M, fi, (p - 1) % M.k))
     ca = cross(a, u).sign()
     if ca == 0 and dot(a, u).sign() > 0:
         return "edge"

@@ -2,8 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from flatbilliards import planar
-from flatbilliards.polygons import Edge, Polygon, triangle_from_angles
+from flatbilliards import fileio, planar
+from flatbilliards.catalog import make_entry
+from flatbilliards.flow import cylinder_decomposition
+from flatbilliards.polygons import (
+    Edge,
+    LinearMap,
+    Polygon,
+    triangle_from_angles,
+)
+from flatbilliards.search import _Search, _StatusOracle
 from flatbilliards.unfolding import unfold
 
 
@@ -64,19 +72,33 @@ def test_five_c_singular_structure():
     assert mults == [2, 4]
 
 
+def _side_ends(M, fi, p):
+    # start and end of side p of face fi, from its placed vertices
+    verts = M.vertices[fi]
+    return verts[p], verts[(p + 1) % M.k]
+
+
 def test_pairing_involution_and_geometry():
     M = unfold(triangle_from_angles(F(1, 2), F(1, 8), F(3, 8)))
     for key, val in M.pairing.items():
         assert M.pairing[val] == key
         assert val != key
-        a = M.faces[key[0]].sides[key[1]]
-        b = M.faces[val[0]].sides[val[1]]
-        assert planar.is_zero_vec(planar.vadd(a.vector(), b.vector()))
-        # gluing translation maps own start to partner end and own end
-        # to partner start
-        tau = M.translations[key]
-        assert planar.veq(planar.vadd(a.start, tau), b.end)
-        assert planar.veq(planar.vadd(a.end, tau), b.start)
+        assert M.faces[key[0]].sides[key[1]].source == (
+            M.faces[val[0]].sides[val[1]].source
+        )
+        a_start, a_end = _side_ends(M, *key)
+        b_start, b_end = _side_ends(M, *val)
+        assert planar.is_zero_vec(planar.vadd(
+            planar.vsub(a_end, a_start), planar.vsub(b_end, b_start)
+        ))
+        # gluing translation: the partner's copy of the vertex of P at
+        # our start, minus our start.  It maps own start to partner end
+        # and own end to partner start
+        v = M.faces[key[0]].source_vertex[key[1]]
+        partner = M.faces[val[0]].source_vertex.index(v)
+        tau = planar.vsub(M.vertices[val[0]][partner], a_start)
+        assert planar.veq(planar.vadd(a_start, tau), b_end)
+        assert planar.veq(planar.vadd(a_end, tau), b_start)
 
 
 def test_total_cone_angle():
@@ -116,3 +138,34 @@ def test_group_action_commutes_with_pairing():
 def test_area():
     M = unfold(square())
     assert M.area_twice() == 8
+
+
+def test_vertices_are_placed_once_on_first_read(monkeypatch):
+    # the surface is its gluing: unfolding it, its genus and its cone
+    # points place no vertex.  The first reader of coordinates places
+    # each g.v once; a second direction, the surface dump and the
+    # search's vertex table place none
+    e = make_entry("2", 5)
+    maps = []
+    apply_vec = LinearMap.apply_vec
+
+    def counted(self, v):
+        maps.append(self)
+        return apply_vec(self, v)
+
+    monkeypatch.setattr(LinearMap, "apply_vec", counted)
+    M = unfold(e.polygon)
+    M.genus()
+    M.cone_points()
+    assert maps == []
+    group = set(M.group.elements())
+    thetas = (F(1, 10), F(3, 10))
+    charts = {LinearMap.rotation(-th) for th in thetas}
+    assert not charts & group
+    for th in thetas:
+        assert cylinder_decomposition(M, th).cylinders
+    fileio.surface_to_json(M)
+    _Search(e.polygon, _StatusOracle(M, e.facts), 6, max_nodes=200000)
+    assert all(g in group or g in charts for g in maps)
+    assert sum(g in group for g in maps) == len(M.faces) * M.k
+    assert sum(g in charts for g in maps) == 2 * len(M.faces) * M.k
