@@ -11,9 +11,11 @@ key, and these keys alone decide which vertices, sides and copies
 coincide and which translations map copies onto copies.  Floats serve
 only as a guide: the overlap test of two copies and the order in which
 the forced-move simulation tries boundary points (the polygons involved
-keep features far above the rounding scale).  Angles and vertex
-classes stay exact, and any surviving candidate is re-verified with
-exact arithmetic before it is reported.
+keep features far above the rounding scale).  Overlap depends only on
+the copies' exact relative placement, so the floats decide each
+distinct placement once per search and a table answers the rest.
+Angles and vertex classes stay exact, and any surviving candidate is
+re-verified with exact arithmetic before it is reported.
 
 A child is its parent plus one copy: `_Search.add_copy` grows a node's
 side and point tables one copy at a time, and the forced-move replay
@@ -80,6 +82,15 @@ def _pack(coeffs, width):
     return out
 
 
+def _dihedral_mult(N):
+    """mult[a][b], the index of a.b in D_N, with rotations 0..N-1 and
+    reflections N..2N-1 numbered as in `DihedralGroup`: rot_a.rot_b =
+    rot_(a+b), rot_a.ref_b = ref_(a+b), ref_a.rot_b = ref_(a-b) and
+    ref_a.ref_b = rot_(a-b), all mod N."""
+    return [[(a - b if a >= N else a + b) % N + N * ((a >= N) != (b >= N))
+             for b in range(2 * N)] for a in range(2 * N)]
+
+
 def _pkey(p):
     """A float point rounded to a 1e-6 grid: the forced-move order."""
     return (round(p[0] * _ROUND) + 0, round(p[1] * _ROUND) + 0)
@@ -123,8 +134,9 @@ class _Copy:
     element 0 is the identity, so anchors[0] is t itself.  vkeys[j] is
     the packed exact position g.v_j + t of base vertex j, and `vset`
     the set of them: these decide which vertices and copies coincide.
-    `verts` holds the same positions as floats, for overlap tests and
-    the forced-move order only."""
+    `verts` holds the same positions as floats, for the forced-move
+    order and for the overlap tests of placements the search's table
+    has not met yet."""
 
     __slots__ = ("lin", "verts", "word", "vkeys", "vset", "anchors")
 
@@ -199,15 +211,15 @@ class _Search:
         self.statuses = statuses
         self.G = group_of(base_polygon)
         self.N = self.G.N
-        self.elements = self.G.elements()
         self.k = len(base_polygon.edges)
         self.angles = [a.multiple for a in base_polygon.angles()]
-        # sigma[t][kk]: the angle of kk corners of base vertex t (a node,
-        # forced moves included, holds at most max_copies + _HORIZON)
-        self.sigma = [
-            [kk * a for kk in range(max_copies + _HORIZON + 1)]
-            for a in self.angles
-        ]
+        # sigma[t][kk]: the angle of kk corners of base vertex t.  A node
+        # holds at most max_copies copies, and at most max_nodes + 1 (each
+        # proper prefix was expanded and counted); forced moves add at
+        # most _HORIZON.
+        longest = min(max_copies, max_nodes + 1) + _HORIZON
+        self.sigma = [[kk * a for kk in range(longest + 1)]
+                      for a in self.angles]
         self.M = statuses.M
         # class of the corner at base vertex v inside the copy whose
         # orthogonal part is group element gi (face order matches the
@@ -222,25 +234,17 @@ class _Search:
                 )
                 row.append(self.M.class_of_corner((gi, pos)).class_id)
             self.cls_of.append(row)
-        # reflecting a copy with linear part gi across its side s
-        self.refl_lin = []
-        for gi, g in enumerate(self.elements):
-            row = []
-            for s in range(self.k):
-                d = g.apply_angle(base_polygon.edges[s].direction.multiple)
-                r = LinearMap.reflection(d % 1)
-                row.append(self.G.index_of(r.compose(g)))
-            self.refl_lin.append(row)
-        self.mult = [
-            [
-                self.G.index_of(self.elements[a].compose(self.elements[b]))
-                for b in range(2 * self.N)
-            ]
-            for a in range(2 * self.N)
-        ]
-        self.E, self.fverts, self.deltas = self._anchor_deltas(
-            max_copies + _HORIZON
-        )
+        self.mult = _dihedral_mult(self.N)
+        self.inv = [row.index(0) for row in self.mult]
+        # reflecting a copy with linear part g across its side s gives
+        # g.r_s, r_s the reflection across base side s
+        r = [self.G.index_of(LinearMap.reflection(e.direction.multiple))
+             for e in base_polygon.edges]
+        self.refl_lin = [[row[rs] for rs in r] for row in self.mult]
+        self.E, self.fverts, self.deltas = self._anchor_deltas(longest)
+        # (h, d) -> whether a copy blocks one placed at h.x + d in its
+        # frame; see `blocks`
+        self.overlap = {}
         self._admissible_q()
         self.convex_base = all(a < 1 for a in self.angles)
 
@@ -267,7 +271,7 @@ class _Search:
         and two anchors by at most 4(longest_word - 1)B.  Both stay
         below 4 longest_word B < 2**(width - 1), so two packed keys or
         anchors are equal exactly when their vectors are."""
-        points = [[None] * self.k for _ in self.elements]
+        points = [[None] * self.k for _ in range(2 * self.N)]
         for face, placed in zip(self.M.faces, self.M.vertices):
             for p, j in enumerate(face.source_vertex):
                 points[face.index][j] = placed[p]
@@ -348,9 +352,15 @@ class _Search:
         the copies moved by g_i and translated so the least anchor is 0.
         Two tilings get the same key exactly when a motion maps the
         copies of one onto the copies of the other (for words within
-        the length _anchor_deltas sized the digits for)."""
+        the length _anchor_deltas sized the digits for).
+
+        Only g_i = inv[c.lin] for a copy c can give the least key: a
+        sorted key starts with its least label mult[g_i][c.lin], and
+        that label is 0, the least of all, exactly when g_i inverts some
+        copy's group element.  So at most len(copies) g_i are tried."""
         best = None
-        for gi, row in enumerate(self.mult):
+        for gi in {self.inv[c.lin] for c in copies}:
+            row = self.mult[gi]
             low = min(c.anchors[gi] for c in copies)
             key = sorted((row[c.lin], c.anchors[gi] - low) for c in copies)
             if best is None or key < best:
@@ -435,19 +445,34 @@ class _Search:
         """`legal_child` over copies that only grow.  `legal` maps (ci, s)
         to [reflected copy or None, copies checked]; a read tests only the
         copies appended since the last one, as appending never lifts a
-        block.  Copy ci, which the new copy reflects, only touches it."""
+        block.  Copy ci, which the new copy reflects, is read like any
+        other: the table holds their shared side as touching."""
         entry = legal.get((ci, s))
         if entry is None:
             entry = legal[(ci, s)] = [self.reflect_copy(copies[ci], s), 0]
         new, start = entry
-        if new is not None and any(
-            c.vset == new.vset
-            or (cj != ci and not _sat_disjoint(new.verts, c.verts))
-            for cj, c in enumerate(copies[start:], start)
-        ):
+        if new is not None and any(self.blocks(c, new)
+                                   for c in copies[start:]):
             entry[0] = None
         entry[1] = len(copies)
         return entry[0]
+
+    def blocks(self, c, new):
+        """Does copy c block the new copy: the same vertices, or
+        interiors that overlap?  In c's frame, where c is the base
+        itself, the new copy sits at x -> h.x + d with h = g_c^-1.g' and
+        d = g_c^-1.(t' - t), a difference of two anchors and so one
+        packed int.  The answer depends on (h, d) alone, so the float
+        test runs once per relative placement and the overlap table
+        keeps it."""
+        i = self.inv[c.lin]
+        key = (self.mult[i][new.lin], new.anchors[i] - c.anchors[i])
+        hit = self.overlap.get(key)
+        if hit is None:
+            hit = self.overlap[key] = (
+                c.vset == new.vset or not _sat_disjoint(new.verts, c.verts)
+            )
+        return hit
 
     # -- subtree rules -------------------------------------------------------
 

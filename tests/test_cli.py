@@ -343,6 +343,20 @@ def test_search_bound_below_one_is_a_format_error(capsys, flag, value):
     assert err["error"] == "FormatError"
 
 
+def test_search_tables_are_bounded_by_the_node_budget(capsys):
+    # a node never holds more than max_nodes + 1 copies, so a huge copy
+    # bound under a tiny node budget builds small tables
+    t0 = time.perf_counter()
+    code, doc, _ = run(
+        capsys, "search-appropriate", "--family", "2", "--n", "5",
+        "--max-copies", "100000000", "--max-nodes", "3",
+    )
+    assert time.perf_counter() - t0 < 2
+    assert code == 0
+    assert doc["outcome"] == "inconclusive"
+    assert doc["statistics"]["resource budget"] == 1
+
+
 def test_search_svg_dir_draws_each_retained_list(tmp_path, capsys):
     code, doc, _ = run(
         capsys, "search-appropriate", "--family", "2", "--n", "5",

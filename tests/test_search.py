@@ -8,11 +8,14 @@ from flatbilliards.catalog import make_entry
 from flatbilliards.covers import analyze_cover, motion_from_word, tile_by_words
 from flatbilliards.periodicity import classify_point, default_directions
 from flatbilliards.planar import vkey
+from flatbilliards.polygons import DihedralGroup, LinearMap
 from flatbilliards.search import (
     SearchReport,
+    _dihedral_mult,
     _Node,
     _root_copy,
     _run_enumeration,
+    _sat_disjoint,
     _Search,
     _StatusOracle,
     node_from_words,
@@ -390,6 +393,21 @@ _PINNED = [
     ("5a", None, 10, {"nodes": 11, "congruent repeats": 24, "even angle": 11,
                       "infinite forcing": 24},
      {}),
+    # the benchmark's three searches
+    ("6", 5, 8, {"nodes": 33, "congruent repeats": 34, "even angle": 31,
+                 "infinite forcing": 2, "locked periodic branch": 4,
+                 "locked two branch points": 4, "two branch points": 1,
+                 "unbranched (lattice)": 1},
+     {"locked periodic branch": 4, "locked two branch points": 4,
+      "two branch points": 1}),
+    ("2", 5, 8, {"nodes": 299, "congruent repeats": 722, "even angle": 292,
+                 "infinite forcing": 20, "locked periodic branch": 31,
+                 "two branch points": 6, "unbranched (lattice)": 1},
+     {"locked periodic branch": 31, "two branch points": 6}),
+    ("2", 7, 8, {"nodes": 234, "angle overflow": 53, "congruent repeats": 575,
+                 "even angle": 227, "infinite forcing": 16,
+                 "two branch points": 6, "unbranched (lattice)": 1},
+     {"two branch points": 6}),
 ]
 
 
@@ -403,6 +421,100 @@ def test_search_statistics_are_pinned(family, n, K, statistics, kept):
     assert {tag: len(lists) for tag, lists in r.rejected.items()} == kept
 
 
+@pytest.mark.parametrize("family,n,K", [("2", 5, 6), ("2", 7, 6),
+                                        ("6", 5, 6), ("5a", None, 10)])
+def test_overlap_table_matches_the_direct_test(family, n, K):
+    # whether a copy blocks a new one is read from a table keyed by
+    # their relative placement; every read, forced replays included,
+    # must give what the direct test gives on the pair being read
+    searcher = _searcher(family, n, K)
+    reads = []
+    real = searcher.blocks
+
+    def blocks(c, new):
+        reads.append((c, new, real(c, new)))
+        return reads[-1][2]
+
+    searcher.blocks = blocks
+    report = SearchReport(family, n, 1, K, "none_found",
+                          statistics={"nodes": 0})
+    _run_enumeration(searcher, report, want="appropriate")
+    assert len(reads) > len(searcher.overlap)
+    assert {hit for *_, hit in reads} == {True, False}
+    for c, new, hit in reads:
+        assert hit == (c.vset == new.vset
+                       or not _sat_disjoint(new.verts, c.verts))
+
+
+def test_overlap_floats_run_once_per_placement(monkeypatch):
+    # 2 n=5 at K=8 tests about 39,000 pairs over about 320 relative
+    # placements: the float test runs at most once for each
+    import flatbilliards.search as search_mod
+
+    calls = []
+    real = search_mod._sat_disjoint
+
+    def counting(A, B):
+        calls.append(1)
+        return real(A, B)
+
+    monkeypatch.setattr(search_mod, "_sat_disjoint", counting)
+    searcher = _searcher("2", 5, 8)
+    report = SearchReport("2", 5, 1, 8, "none_found",
+                          statistics={"nodes": 0})
+    _run_enumeration(searcher, report, want="appropriate")
+    assert report.statistics["nodes"] == 299
+    assert len(calls) <= len(searcher.overlap)
+    assert len(calls) < 1000
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_integer_group_law(N):
+    # the products of D_N read from indices alone, for any base axis
+    mult = _dihedral_mult(N)
+    for base in (F(0), F(1, 3 * N), F(2, 7 * N)):
+        G = DihedralGroup(N, base)
+        els = G.elements()
+        assert mult == [[G.index_of(a.compose(b)) for b in els]
+                        for a in els]
+
+
+def _refl_lin_by_composition(searcher):
+    """Reflecting copy g across its side s, composed as linear maps:
+    the reflection across the image of side s's direction, after g."""
+    return [
+        [searcher.G.index_of(LinearMap.reflection(
+            g.apply_angle(e.direction.multiple) % 1).compose(g))
+         for e in searcher.P.edges]
+        for g in searcher.G.elements()
+    ]
+
+
+_BASES = ([("1", n) for n in range(3, 9)] + [("2", n) for n in range(4, 10)]
+          + [("3", n) for n in range(3, 8)] + [("4", n) for n in (5, 6, 7)]
+          + [("5a", None), ("5b", None), ("5c", None), ("7", None),
+             ("8", None), ("9a", 7), ("9a", 9), ("9b", 5), ("9b", 7),
+             ("10", None)] + [("6", n) for n in range(4, 8)])
+
+
+def test_reflection_table_matches_composition():
+    # every catalog base that passes the pre-checks, and one
+    # intermediate outline of the second class
+    searchers = []
+    for family, n in _BASES:
+        e = make_entry(family, n)
+        if not (e.facts.get("square_tiled")
+                or e.facts.get("all_vertex_points_periodic")):
+            searchers.append(_searcher(family, n, 4))
+    outline = tile_by_words(make_entry("2", 5).polygon, [
+        [], [0], [2], [2, 0], [0, 1], [0, 2]]).outline
+    searchers.append(_Search(outline, _StatusOracle(unfold(outline), {}),
+                             4, max_nodes=200000))
+    assert len(searchers) > 10
+    for searcher in searchers:
+        assert searcher.refl_lin == _refl_lin_by_composition(searcher)
+
+
 def _float_class(searcher, copies):
     """A congruence key that does not read the exact anchors: each
     copy's group element and the float position of its base vertex 0,
@@ -412,7 +524,7 @@ def _float_class(searcher, copies):
     mx = sum(c.verts[0][0] for c in copies) / len(copies)
     my = sum(c.verts[0][1] for c in copies) / len(copies)
     best = None
-    for gi, g in enumerate(searcher.elements):
+    for gi, g in enumerate(searcher.G.elements()):
         th = math.pi * float(g.param) * (1 if g.kind == "rot" else 2)
         a, b = math.cos(th), math.sin(th)
         m = (a, -b, b, a) if g.kind == "rot" else (a, b, b, -a)
