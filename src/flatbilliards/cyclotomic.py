@@ -314,8 +314,10 @@ class CyclotomicReal:
         return self._key
 
     def canonical(self) -> "CyclotomicReal":
-        n, num, den = self.key()
-        return CyclotomicReal(n, num, den, _trusted=True)
+        key = self.key()
+        out = CyclotomicReal(*key, _trusted=True)
+        out._key = key
+        return out
 
     # -- arithmetic ---------------------------------------------------------
 

@@ -30,11 +30,14 @@ class FormatError(ValueError):
 
 
 def cyc_to_json(x: CyclotomicReal) -> dict:
-    conductor, coeffs = x.to_pair()
+    # the digits come from the canonical value, so they do not depend on
+    # the conductor x happens to be stored at
+    c = x.canonical()
+    conductor, coeffs = c.to_pair()
     return {
         "conductor": conductor,
         "coeffs": coeffs,
-        "decimal": x.decimal(50),
+        "decimal": c.decimal(50),
     }
 
 

@@ -10,19 +10,27 @@ direction leaves from (`_corner_mode`) and which sides are parallel
 to the flow (`_ray_exit`) are read from rational angles alone.  When
 every separatrix closes up, the faces are cut along them and the
 pieces glued into cylinders with exact heights and circumferences.
-A chart whose conductor has degree above MAX_CHART_DEGREE is refused.
+
+A chart has one conductor n, the lcm of the conductors of theta's cos
+and sin, of every vertex coordinate and of every cotangent it may use.
+Its vertices, gluing translations and cotangents are stored at n, and
+sums, products and inverses of values at n stay at n.  At one
+conductor a value's stored form (coefficients reduced mod Phi_n over a
+positive denominator prime to them) is unique, so the chart keys a
+point by its raw coefficients (`_key`), with no canonical descent.  A
+chart whose conductor has degree above MAX_CHART_DEGREE is refused.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 
 from . import planar
 from .cyclotomic import (ZERO, CyclotomicReal, cos_pi, embed, is_rational,
                          sin_pi, totient)
-from .planar import vadd, vkey, vscale, vsub
+from .planar import vadd, vscale, vsub
 from .polygons import LinearMap, _angle_value
 from .unfolding import ConePoint, SurfaceError, TranslationSurface
 
@@ -49,29 +57,41 @@ class NotShownPeriodic(Exception):
 
 _SEGMENT_CAP = 20000
 
-# the largest phi(n) for the chart's conductor n, the lcm of the face
-# coordinates' conductors and theta's.  Products cost about phi(n)**2
-# and inverses phi(n)**3: `cylinders --family 2 --n 5 --length-bound 3`
-# takes 2.2 s at direction 1/31 (phi 240) and 28 s at 1/97 (phi 768)
+# the largest phi(n) for the chart's conductor n (see `_check_degree`).
+# Products cost about phi(n)**2 and inverses phi(n)**3: `cylinders
+# --family 2 --n 5 --length-bound 3` takes 2.2 s at direction 1/31 (phi
+# 240) and 28 s at 1/97 (phi 768)
 MAX_CHART_DEGREE = 256
+
+
+def _key(v, n: int) -> tuple:
+    """The key of a chart point: its coordinates' coefficients at the
+    chart conductor n, where the stored form is unique.  A coordinate
+    stored below n is lifted; `lift` refuses one stored above.  This is
+    not a `CyclotomicReal.key` call, so a traced run's
+    `cyclotomic.key_calls` does not count it."""
+    x, y = v[0].lift(n), v[1].lift(n)
+    return (x.num, x.den, y.num, y.den)
 
 
 @dataclass
 class _Chord:
     """A maximal horizontal sub-segment of a separatrix inside one face,
-    with the face side each end lies inside (None at a vertex)."""
+    with the face side each end lies inside (None at a vertex), keyed
+    at the chart conductor n."""
 
     face: int
     a: tuple
     b: tuple
     a_side: int | None
     b_side: int | None
+    n: InitVar[int]
     a_key: tuple = field(init=False)
     b_key: tuple = field(init=False)
 
-    def __post_init__(self):
-        self.a_key = vkey(self.a)
-        self.b_key = vkey(self.b)
+    def __post_init__(self, n):
+        self.a_key = _key(self.a, n)
+        self.b_key = _key(self.b, n)
 
 
 @dataclass(frozen=True)
@@ -113,6 +133,7 @@ class Cylinder:
 @dataclass
 class Decomposition:
     theta: Fraction  # mod 2
+    n: int  # the chart conductor: every chart value is stored at n
     verts: list  # face -> chart vertices
     cylinders: list
     chords: dict  # face -> list of _Chord, in chart coordinates
@@ -122,13 +143,21 @@ class Decomposition:
         return len(self.cylinders)
 
 
-def _check_degree(M: TranslationSurface, theta: Fraction):
+def _check_degree(M: TranslationSurface, theta: Fraction) -> int:
+    """The chart conductor n for direction theta: the lcm of the
+    conductors of cos and sin of theta, of every vertex coordinate, and
+    of cos and sin of every side direction's delta from theta (a
+    cotangent is stored at their lcm).  FlowError when phi(n) is above
+    MAX_CHART_DEGREE."""
+    deltas = {(s.direction - theta) % 1 for f in M.faces for s in f.sides}
     n = math.lcm(cos_pi(theta).n, sin_pi(theta).n,
-                 *(x.n for vs in M.vertices for v in vs for x in v))
+                 *(x.n for vs in M.vertices for v in vs for x in v),
+                 *(c(d).n for d in deltas - {0} for c in (cos_pi, sin_pi)))
     phi = totient(n)
     if phi > MAX_CHART_DEGREE:
         raise FlowError(f"direction {theta}: chart conductor {n} of degree "
                         f"{phi} > MAX_CHART_DEGREE ({MAX_CHART_DEGREE})")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +182,20 @@ def _corner_mode(M: TranslationSurface, corner, theta: Fraction):
 
 
 class _Chart:
-    """One decomposition's chart and tracing state: the face vertices
-    rotated by -theta, the gluing translations between them, and the
-    cotangents of the side directions met so far."""
+    """One decomposition's chart and tracing state at conductor n: the
+    face vertices rotated by -theta, the gluing translations between
+    them, and the cotangents of the side directions met so far, all
+    stored at n."""
 
-    def __init__(self, M: TranslationSurface, theta, stop_ids, bound2):
+    def __init__(self, M: TranslationSurface, theta, n, stop_ids, bound2):
         self.M = M
         self.theta = theta
+        self.n = n
         rot = LinearMap.rotation(-theta)
-        self.verts = [tuple(map(rot.apply_vec, vs)) for vs in M.vertices]
+        self.verts = [
+            tuple((x.lift(n), y.lift(n)) for x, y in map(rot.apply_vec, vs))
+            for vs in M.vertices
+        ]
         # own start -> partner end
         self.tau = {
             (fi, p): vsub(self.verts[fj][(q + 1) % M.k], self.verts[fi][p])
@@ -181,6 +215,14 @@ class _Chart:
         if (self.length * self.length - self.bound2).sign() > 0:
             raise NotShownPeriodic(self.theta, "length bound exceeded")
 
+    def cotangent(self, delta: Fraction):
+        """cot(pi*delta) at the chart conductor, inverted once."""
+        cot = self.cot.get(delta)
+        if cot is None:
+            cot = (cos_pi(delta) / sin_pi(delta)).lift(self.n)
+            self.cot[delta] = cot
+        return cot
+
     def _ray_exit(self, fi: int, x):
         """First boundary hit of the ray x + (t, 0), t > 0, in face fi.
 
@@ -196,11 +238,8 @@ class _Chart:
             delta = (side.direction - self.theta) % 1
             if delta == 0 or ys[p] * ys[(p + 1) % k] > 0:
                 continue
-            cot = self.cot.get(delta)
-            if cot is None:
-                cot = self.cot[delta] = cos_pi(delta) / sin_pi(delta)
             a = verts[p]
-            t = a[0] - x[0] + (x[1] - a[1]) * cot
+            t = a[0] - x[0] + (x[1] - a[1]) * self.cotangent(delta)
             if t.sign() <= 0:
                 continue
             if best is None or (t - best[0]).sign() < 0:
@@ -265,11 +304,11 @@ class _Chart:
                 t, hit, pt = self._ray_exit(fi, x)
                 self._spend(t)
                 if hit[0] == "vertex":
-                    chords.append(_Chord(fi, x, pt, x_side, None))
+                    chords.append(_Chord(fi, x, pt, x_side, None, self.n))
                     corner = hit[1]
                     break
                 q = hit[1]
-                chords.append(_Chord(fi, x, pt, x_side, q))
+                chords.append(_Chord(fi, x, pt, x_side, q, self.n))
                 x = vadd(pt, self.tau[(fi, q)])
                 fi, x_side = M.pairing[(fi, q)]
 
@@ -289,7 +328,7 @@ def cylinder_decomposition(
     chart's conductor has degree above MAX_CHART_DEGREE.
     """
     theta = _angle_value(theta) % 2
-    _check_degree(M, theta)
+    n = _check_degree(M, theta)
     if length_bound is None:
         bound2 = M.polygon.diameter_squared() * 1600
     else:
@@ -303,7 +342,7 @@ def cylinder_decomposition(
 
     chords_by_face: dict[int, list] = {fi: [] for fi in range(len(M.faces))}
     cut_sides: set = set()
-    chart = _Chart(M, theta, stop_ids, bound2)
+    chart = _Chart(M, theta, n, stop_ids, bound2)
     for cls in sources:
         for corner in sorted(cls.corners):
             mode = _corner_mode(M, corner, theta)
@@ -324,6 +363,7 @@ def cylinder_decomposition(
 
     dec = Decomposition(
         theta=theta,
+        n=n,
         verts=chart.verts,
         cylinders=cylinders,
         chords=chords_by_face,
@@ -350,7 +390,7 @@ def _slice_face(chart: _Chart, fi: int, chords: list) -> list:
     ring_tags = []
     for p, side in enumerate(chart.M.faces[fi].sides):
         start = chart.verts[fi][p]
-        ring_nodes.append((vkey(start), start))
+        ring_nodes.append((_key(start, chart.n), start))
         ring_tags.append(("side", p))
         # no chord ends inside a side parallel to the flow, so the side
         # runs up (direction within (0, 1) of theta) or down
@@ -445,8 +485,8 @@ def _glue_pieces(chart: _Chart, pieces: list, cut_sides: set):
             locator = (side_id, frozenset((a_key, b_key)))
             # partner locator: translate both endpoints
             tau = chart.tau[side_id]
-            pa = vkey(vadd(piece.nodes[i][1], tau))
-            pb = vkey(vadd(piece.nodes[(i + 1) % n][1], tau))
+            pa = _key(vadd(piece.nodes[i][1], tau), chart.n)
+            pb = _key(vadd(piece.nodes[(i + 1) % n][1], tau), chart.n)
             partner_loc = (M.pairing[side_id], frozenset((pa, pb)))
             seg_index.setdefault(locator, []).append((pi, tau[1], partner_loc))
     # match: adj[pi] holds (pj, height shift of the gluing)
@@ -543,7 +583,7 @@ def _locate_class(M: TranslationSurface, dec: Decomposition, cp: ConePoint):
     # reject points on separatrices: a chord end or a cut side
     class_keys = {}
     for fi, p in cp.corners:
-        class_keys.setdefault(fi, set()).add(vkey(dec.verts[fi][p]))
+        class_keys.setdefault(fi, set()).add(_key(dec.verts[fi][p], dec.n))
     on_chord = any(ch.a_key in keys or ch.b_key in keys
                    for fi, keys in class_keys.items() for ch in dec.chords[fi])
     on_cut = any((fi, q) in dec.cut_sides
@@ -553,7 +593,7 @@ def _locate_class(M: TranslationSurface, dec: Decomposition, cp: ConePoint):
             "marked point lies on a separatrix in this direction")
     fi, p = cp.representative()
     w = dec.verts[fi][p]
-    w_key = vkey(w)
+    w_key = _key(w, dec.n)
     for cyl in dec.cylinders:
         for piece, off in cyl.pieces:
             if piece.face != fi:

@@ -330,6 +330,18 @@ class DihedralGroup:
             return int(g.param * self.N / 2) % self.N
         return self.N + int((g.param - self.base_axis) * self.N) % self.N
 
+    def product(self, a: int, b: int) -> int:
+        """The index of a.b, read from the indices by D_N's law (mod N):
+        rot_a.rot_b = rot_(a+b), rot_a.ref_b = ref_(a+b), ref_a.rot_b =
+        ref_(a-b) and ref_a.ref_b = rot_(a-b)."""
+        N = self.N
+        return (a - b if a >= N else a + b) % N + N * ((a >= N) != (b >= N))
+
+    def multiplication_table(self) -> list[list[int]]:
+        """mult[a][b] = product(a, b): (2N)**2 entries."""
+        r = range(2 * self.N)
+        return [[self.product(a, b) for b in r] for a in r]
+
     def element(self, index: int) -> LinearMap:
         index %= 2 * self.N
         if index < self.N:

@@ -82,15 +82,6 @@ def _pack(coeffs, width):
     return out
 
 
-def _dihedral_mult(N):
-    """mult[a][b], the index of a.b in D_N, with rotations 0..N-1 and
-    reflections N..2N-1 numbered as in `DihedralGroup`: rot_a.rot_b =
-    rot_(a+b), rot_a.ref_b = ref_(a+b), ref_a.rot_b = ref_(a-b) and
-    ref_a.ref_b = rot_(a-b), all mod N."""
-    return [[(a - b if a >= N else a + b) % N + N * ((a >= N) != (b >= N))
-             for b in range(2 * N)] for a in range(2 * N)]
-
-
 def _pkey(p):
     """A float point rounded to a 1e-6 grid: the forced-move order."""
     return (round(p[0] * _ROUND) + 0, round(p[1] * _ROUND) + 0)
@@ -234,7 +225,7 @@ class _Search:
                 )
                 row.append(self.M.class_of_corner((gi, pos)).class_id)
             self.cls_of.append(row)
-        self.mult = _dihedral_mult(self.N)
+        self.mult = self.G.multiplication_table()
         self.inv = [row.index(0) for row in self.mult]
         # reflecting a copy with linear part g across its side s gives
         # g.r_s, r_s the reflection across base side s

@@ -101,14 +101,16 @@ class TranslationSurface:
     # -- construction -----------------------------------------------------
 
     def _build_pairing(self):
+        # face g's copy of side s of P is glued to face g.r_s, r_s the
+        # reflection across side s of P: the reflection across g's image
+        # of that side is g.r_s.g^-1
+        G = self.group
+        r = [G.index_of(LinearMap.reflection(e.direction.multiple))
+             for e in self.polygon.edges]
         for face in self.faces:
             for p, side in enumerate(face.sides):
                 s = side.source
-                axis = face.gmap.apply_angle(
-                    self.polygon.edges[s].direction.multiple
-                ) % 1
-                partner_map = LinearMap.reflection(axis).compose(face.gmap)
-                fi2 = self.group.index_of(partner_map)
+                fi2 = G.product(face.index, r[s])
                 p2 = self.faces[fi2].side_position_of_source(s)
                 self.pairing[(face.index, p)] = (fi2, p2)
         for (fi, p), (fj, q) in self.pairing.items():
@@ -237,7 +239,8 @@ class TranslationSurface:
     # -- group action ----------------------------------------------------------
 
     def act_on_face(self, g: LinearMap, fi: int) -> int:
-        return self.group.index_of(g.compose(self.faces[fi].gmap))
+        # face fi is group element fi
+        return self.group.product(self.group.index_of(g), fi)
 
     def act_on_corner(self, g: LinearMap, corner):
         """Image of a corner under the affine action of g on the surface."""

@@ -3,8 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from flatbilliards import cyclotomic as cy
+from flatbilliards import flow
 from flatbilliards.catalog import make_entry
-from flatbilliards.cyclotomic import embed
+from flatbilliards.cyclotomic import CyclotomicReal, embed
 from flatbilliards.flow import (
     FlowError,
     NotShownPeriodic,
@@ -14,7 +15,8 @@ from flatbilliards.flow import (
     cylinder_decomposition,
     height_split,
 )
-from flatbilliards.planar import cross, dot, vneg, vsub
+from flatbilliards.periodicity import default_directions
+from flatbilliards.planar import cross, dot, vkey, vneg, vsub
 from flatbilliards.polygons import Edge, Polygon, triangle_from_angles
 from flatbilliards.unfolding import unfold
 
@@ -277,3 +279,109 @@ def test_corner_mode_matches_the_vector_rule():
                 assert mode == _reference_corner_mode(M, c, u), (family, th, c)
                 modes.add(mode)
     assert modes == {"edge", "ray", None}
+
+
+# the surfaces of the tests above, and the right isoceles triangle built
+# from its sides: its hypotenuse's direction 5/4 enters no vertex, so at
+# directions 0 and 1/2 the cotangent cot(pi/4) raises the conductor from
+# 4 to 8.  Each is decomposed in every default direction that closes up
+# within the default bound
+_SURFACES = [
+    square(),
+    Polygon([Edge(F(0), 1), Edge(F(1, 2), 1),
+             Edge(F(5, 4), 2 * cy.cos_pi(F(1, 4)))]),
+    triangle_from_angles(F(1, 2), F(1, 8), F(3, 8)),
+    triangle_from_angles(F(1, 2), F(1, 5), F(3, 10)),
+    make_entry("5a").polygon,
+    make_entry("5b").polygon,
+    make_entry("5c").polygon,
+    make_entry("2", 7).polygon,
+    make_entry("8").polygon,
+]
+
+
+@pytest.fixture(scope="module")
+def decompositions():
+    out = []
+    for P in _SURFACES:
+        M = unfold(P)
+        for th in default_directions(M):
+            try:
+                out.append((M, th, cylinder_decomposition(M, th)))
+            except (NotShownPeriodic, FlowError):
+                continue
+    assert len(out) >= 20
+    return out
+
+
+def _chart_points(dec):
+    """Every point the decomposition keys: vertices, chord ends and the
+    nodes of its pieces."""
+    for vs in dec.verts:
+        yield from vs
+    for chords in dec.chords.values():
+        for ch in chords:
+            yield ch.a
+            yield ch.b
+    for cyl in dec.cylinders:
+        for piece, _off in cyl.pieces:
+            yield from piece.points()
+
+
+def test_decomposition_keys_make_no_canonical_descent(monkeypatch):
+    # chord ends, ring nodes and translated ends are keyed at the chart
+    # conductor; `inverse` reaches its operand's canonical form through
+    # key(), and no other key() call is left in a decomposition or a
+    # height split
+    calls = {"key": 0, "depth": 0}
+    key, inverse = CyclotomicReal.key, CyclotomicReal.inverse
+
+    def counted_key(self):
+        calls["key"] += calls["depth"] == 0
+        return key(self)
+
+    def uncounted_inverse(self):
+        calls["depth"] += 1
+        try:
+            return inverse(self)
+        finally:
+            calls["depth"] -= 1
+
+    monkeypatch.setattr(CyclotomicReal, "key", counted_key)
+    monkeypatch.setattr(CyclotomicReal, "inverse", uncounted_inverse)
+    M = unfold(make_entry("2", 5).polygon)
+    dec = cylinder_decomposition(M, F(1, 10))
+    splits = regular_splits(M, dec)
+    assert splits and len(dec.cylinders) > 1
+    assert calls["key"] == 0
+
+
+def test_chart_keys_agree_with_canonical_keys(decompositions):
+    for _M, _th, dec in decompositions:
+        chart_of, canonical_of = {}, {}
+        for pt in _chart_points(dec):
+            ck, vk = flow._key(pt, dec.n), vkey(pt)
+            chart_of.setdefault(vk, set()).add(ck)
+            canonical_of.setdefault(ck, set()).add(vk)
+        assert all(len(s) == 1 for s in chart_of.values())
+        assert all(len(s) == 1 for s in canonical_of.values())
+
+
+def test_chart_values_are_stored_at_the_chart_conductor(
+        decompositions, monkeypatch):
+    for M, th, dec in decompositions:
+        n = dec.n
+        assert flow._check_degree(M, th) == n
+        assert {x.n for pt in _chart_points(dec) for x in pt} == {n}
+        assert {c.height.n for c in dec.cylinders} == {n}
+        chart = flow._Chart(M, th, n, set(), None)
+        assert {x.n for vs in chart.verts for v in vs for x in v} == {n}
+        assert {x.n for t in chart.tau.values() for x in t} == {n}
+        deltas = {(s.direction - th) % 1 for f in M.faces for s in f.sides}
+        assert {chart.cotangent(d).n for d in deltas - {0}} == {n}
+    # the degree limit is tested on that same n
+    M = unfold(make_entry("2", 5).polygon)
+    n = cylinder_decomposition(M, F(1, 10)).n
+    monkeypatch.setattr(flow, "MAX_CHART_DEGREE", cy.totient(n) - 1)
+    with pytest.raises(FlowError, match=f"chart conductor {n} "):
+        cylinder_decomposition(M, F(1, 10))

@@ -11,7 +11,6 @@ from flatbilliards.planar import vkey
 from flatbilliards.polygons import DihedralGroup, LinearMap
 from flatbilliards.search import (
     SearchReport,
-    _dihedral_mult,
     _Node,
     _root_copy,
     _run_enumeration,
@@ -471,12 +470,11 @@ def test_overlap_floats_run_once_per_placement(monkeypatch):
 @pytest.mark.parametrize("N", range(1, 13))
 def test_integer_group_law(N):
     # the products of D_N read from indices alone, for any base axis
-    mult = _dihedral_mult(N)
     for base in (F(0), F(1, 3 * N), F(2, 7 * N)):
         G = DihedralGroup(N, base)
         els = G.elements()
-        assert mult == [[G.index_of(a.compose(b)) for b in els]
-                        for a in els]
+        assert G.multiplication_table() == [
+            [G.index_of(a.compose(b)) for b in els] for a in els]
 
 
 def _refl_lin_by_composition(searcher):

@@ -169,3 +169,39 @@ def test_vertices_are_placed_once_on_first_read(monkeypatch):
     assert all(g in group or g in charts for g in maps)
     assert sum(g in group for g in maps) == len(M.faces) * M.k
     assert sum(g in charts for g in maps) == 2 * len(M.faces) * M.k
+
+
+def test_pairing_and_action_read_the_group_law(monkeypatch):
+    # face g's copy of side s of P is glued to face g.r_s, and g acts on
+    # face h as g.h: both are read from D_N's law on indices, so neither
+    # unfolding nor the action composes a LinearMap.  The references
+    # below compose the maps
+    composed = []
+    compose = LinearMap.compose
+
+    def counted(self, other):
+        composed.append(self)
+        return compose(self, other)
+
+    monkeypatch.setattr(LinearMap, "compose", counted)
+    entries = [("1", 5), ("2", 5), ("5c", None), ("8", None), ("9b", 5),
+               ("10", None)]
+    surfaces = [unfold(make_entry(f, n).polygon) for f, n in entries]
+    actions = [
+        [[M.act_on_face(g, fi) for fi in range(len(M.faces))]
+         for g in M.group.elements()]
+        for M in surfaces
+    ]
+    assert composed == []
+    monkeypatch.undo()
+    for M, action in zip(surfaces, actions):
+        G = M.group
+        for (fi, p), (fj, _q) in M.pairing.items():
+            g = M.faces[fi].gmap
+            e = M.polygon.edges[M.faces[fi].sides[p].source]
+            axis = g.apply_angle(e.direction.multiple) % 1
+            assert fj == G.index_of(LinearMap.reflection(axis).compose(g))
+        assert action == [
+            [G.index_of(g.compose(f.gmap)) for f in M.faces]
+            for g in G.elements()
+        ]
