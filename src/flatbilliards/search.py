@@ -17,10 +17,13 @@ distinct placement once per search and a table answers the rest.
 Angles and vertex classes stay exact, and any surviving candidate is
 re-verified with exact arithmetic before it is reported.
 
-A child is its parent plus one copy: `_Search.add_copy` grows a node's
-side and point tables one copy at a time, and the forced-move replay
-keeps one running analysis and one legality table that tests each move
-only against the copies appended since it was last read.
+A child is its parent plus one copy, and each node is analysed once:
+its side and point tables are its parent's, copied, plus one
+`_Search.add_copy`, kept on its `_Node` until its expansion reads them.
+The forced-move replay grows a copy of the same tables, with one
+legality table that tests each move only against the copies appended
+since it was last read.  Float vertices are made only where read: the
+overlap table's misses and the forced order.
 
 Pruning rules are tagged and counted:
 
@@ -42,6 +45,7 @@ Children congruent to a tiling already reached are counted as
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 
 from .catalog import CatalogEntry
@@ -125,29 +129,49 @@ class _Copy:
     element 0 is the identity, so anchors[0] is t itself.  vkeys[j] is
     the packed exact position g.v_j + t of base vertex j, and `vset`
     the set of them: these decide which vertices and copies coincide.
-    `verts` holds the same positions as floats, for the forced-move
-    order and for the overlap tests of placements the search's table
-    has not met yet."""
 
-    __slots__ = ("lin", "verts", "word", "vkeys", "vset", "anchors")
+    The float guide is `shift`, t as floats, and `row`, the float
+    positions g.v_j (the row FV[lin]).  A float vertex is made only
+    where it is read: `vert` for the forced-move order and the next
+    reflection, `verts` for the overlap tests of placements the
+    search's table has not met yet."""
 
-    def __init__(self, lin, verts, word, anchors, origin):
+    __slots__ = ("lin", "row", "shift", "word", "vkeys", "vset", "anchors")
+
+    def __init__(self, lin, row, shift, word, anchors, origin):
         """`origin` is the row E[lin] of packed vertex positions g.v_j."""
         self.lin = lin
-        self.verts = verts
+        self.row = row
+        self.shift = shift
         self.word = word
         self.vkeys = tuple(e + anchors[0] for e in origin)
         self.vset = frozenset(self.vkeys)
         self.anchors = anchors
 
+    def vert(self, j):
+        """Float vertex g.v_j + t."""
+        (x, y), (tx, ty) = self.row[j], self.shift
+        return (x + tx, y + ty)
+
+    @property
+    def verts(self):
+        """All k float vertices, built on each read."""
+        tx, ty = self.shift
+        return tuple((x + tx, y + ty) for x, y in self.row)
+
 
 class _Node:
-    __slots__ = ("copies", "key", "legal")
+    """A tiling in the search: its copies, congruence key and legality
+    memo.  `an` holds the node's analysis from when it is made as a
+    child until its expansion reads it (None before and after)."""
+
+    __slots__ = ("copies", "key", "legal", "an")
 
     def __init__(self, copies):
         self.copies = copies
         self.key = None
         self.legal = {}
+        self.an = None
 
 
 class _Analysis:
@@ -164,6 +188,18 @@ class _Analysis:
         self.copies = []
         self.sides = {}
         self.points = {}
+
+    def copy(self):
+        """The same copies, sides and points, in order, with new lists:
+        growing the copy leaves these tables as they are."""
+        out = _Analysis()
+        out.copies = list(self.copies)
+        out.sides = dict(self.sides)
+        out.points = {
+            key: dict(rec, corners=list(rec["corners"]), ext=list(rec["ext"]))
+            for key, rec in self.points.items()
+        }
+        return out
 
 
 class _StatusOracle(dict):
@@ -391,9 +427,22 @@ class _Search:
                 points[b]["ext"].remove(other)
 
     def analyze_node(self, node):
+        """A node's analysis folded from scratch, copy by copy.  The
+        search makes it only for the root; every child grows its
+        parent's (`child_analysis`)."""
         an = _Analysis()
         for c in node.copies:
             self.add_copy(an, c)
+        return self._summarize(an)
+
+    def child_analysis(self, an, c):
+        """The analysis of a node's child that adds copy c: the node's
+        tables, copied, plus one `add_copy`.  `an` is left as it is."""
+        child = an.copy()
+        self.add_copy(child, c)
+        return self._summarize(child)
+
+    def _summarize(self, an):
         an.external = list(an.sides.values())
         an.boundary = {k: r for k, r in an.points.items() if r["ext"]}
         an.complete = all(
@@ -417,15 +466,14 @@ class _Search:
     def reflect_copy(self, c, s):
         """Copy c reflected across its side s: the motion g.x + t
         becomes g'.x + t' with t' = t + g.v_s - g'.v_s, exactly in the
-        anchors and as floats in the vertices (g.v_s + t is the float
+        anchors and as floats in the shift (g.v_s + t is the float
         vertex s, which the reflection fixes)."""
         lin = self.refl_lin[c.lin][s]
-        tx = c.verts[s][0] - self.fverts[lin][s][0]
-        ty = c.verts[s][1] - self.fverts[lin][s][1]
-        verts = tuple((x + tx, y + ty) for x, y in self.fverts[lin])
-        delta = self.deltas[c.lin][s]
-        anchors = tuple(x + d for x, d in zip(c.anchors, delta))
-        return _Copy(lin, verts, c.word + (s,), anchors, self.E[lin])
+        row = self.fverts[lin]
+        (x, y), (fx, fy) = c.vert(s), row[s]
+        anchors = tuple(map(operator.add, c.anchors, self.deltas[c.lin][s]))
+        return _Copy(lin, row, (x - fx, y - fy), c.word + (s,), anchors,
+                     self.E[lin])
 
     def legal_child(self, node, ci, s):
         """The reflected copy if placing it keeps interiors disjoint
@@ -526,34 +574,41 @@ class _Search:
             for rec in an.boundary.values()
         )
 
-    def forced_sim(self, node):
-        """Replay forced moves; True when the configuration repeats
-        itself under a translation (an infinite forced strip).
+    def forced_sim(self, an):
+        """Replay forced moves from a node's analysis `an`; True when
+        the configuration repeats itself under a translation (an
+        infinite forced strip).
 
-        The replay grows one running analysis by `add_copy` and keeps one
-        legality table (`grown_child`), checked only against newer copies.
+        The replay grows a copy of `an` (which it leaves as it is) by
+        `add_copy` and keeps one legality table (`grown_child`), checked
+        only against newer copies.
 
         Boundary points are tried in the order of the float position of
         their first corner, rounded to a 1e-6 grid, and moves in the
-        order of copy indices.  This order is a heuristic choice, not an
-        identity test: which points coincide is decided by the exact
-        vertex keys.  Congruent nodes can replay different moves, and
-        whether the prune fires can depend on which representative of a
-        class the search keeps."""
-        an = _Analysis()
-        for c in node.copies:
-            self.add_copy(an, c)
+        order of copy indices.  A point's first corner never changes,
+        so its position is read once per replay and the order of the
+        points already met stays the same from move to move.  This
+        order is a heuristic choice, not an identity test: which points
+        coincide is decided by the exact vertex keys.  Congruent nodes
+        can replay different moves, and whether the prune fires can
+        depend on which representative of a class the search keeps."""
+        an = an.copy()
         copies = an.copies
         legal = {}
+        positions = {}
 
-        def position(rec):
-            ci, v = rec["corners"][0]
-            return _pkey(copies[ci].verts[v])
+        def position(item):
+            key, rec = item
+            p = positions.get(key)
+            if p is None:
+                ci, v = rec["corners"][0]
+                p = positions[key] = _pkey(copies[ci].vert(v))
+            return p
 
         for grown in range(1, _HORIZON + 1):
             move = None
-            boundary = [rec for rec in an.points.values() if rec["ext"]]
-            for rec in sorted(boundary, key=position):
+            boundary = [item for item in an.points.items() if item[1]["ext"]]
+            for _, rec in sorted(boundary, key=position):
                 if rec["label"] is None:
                     continue
                 kk = len(rec["corners"])
@@ -645,9 +700,8 @@ _KEEP_TAGS = {
 
 
 def _root_copy(searcher: _Search) -> _Copy:
-    return _Copy(
-        0, searcher.fverts[0], (), (0,) * (2 * searcher.N), searcher.E[0]
-    )
+    return _Copy(0, searcher.fverts[0], (0.0, 0.0), (),
+                 (0,) * (2 * searcher.N), searcher.E[0])
 
 
 def node_from_words(searcher: _Search, words) -> _Node:
@@ -736,6 +790,7 @@ def _run_enumeration(searcher: _Search, report: SearchReport, want: str,
     Returns whether an unknown verdict was encountered."""
     root = _Node((_root_copy(searcher),))
     root.key = searcher.canonical_key(root.copies)
+    root.an = searcher.analyze_node(root)
     seen = {root.key}
     frontier = [root]
     unknown_seen = False
@@ -747,7 +802,7 @@ def _run_enumeration(searcher: _Search, report: SearchReport, want: str,
             if report.statistics["nodes"] > searcher.max_nodes:
                 _tag(report, "resource budget")
                 return unknown_seen
-            an = searcher.analyze_node(node)
+            an, node.an = node.an, None
             if want == "appropriate":
                 tag = searcher.evaluate(node, an)
                 if tag == "candidate":
@@ -769,13 +824,13 @@ def _run_enumeration(searcher: _Search, report: SearchReport, want: str,
                     _tag(report, "congruent repeats")
                     continue
                 seen.add(child.key)
-                child_an = searcher.analyze_node(child)
-                prune = searcher.subtree_prune(child, child_an)
+                child.an = searcher.child_analysis(an, new)
+                prune = searcher.subtree_prune(child, child.an)
                 if prune is not None:
                     _tag(report, prune, child)
                     continue
-                if searcher.worth_simulating(child_an) and searcher.forced_sim(
-                    child
+                if searcher.worth_simulating(child.an) and searcher.forced_sim(
+                    child.an
                 ):
                     _tag(report, "infinite forcing", child)
                     continue

@@ -185,7 +185,7 @@ def test_congruent_tilings_share_one_key():
     a = node_from_words(searcher, [(), (1,), (1, 0)])
     b = node_from_words(searcher, [(), (1,), (0,)])
     for c in a.copies + b.copies:
-        c.verts = None  # the key reads the exact anchors only
+        c.shift = None  # the key reads the exact anchors only
     assert searcher.canonical_key(a.copies) == searcher.canonical_key(b.copies)
     c = node_from_words(searcher, [(), (1,), (2,)])
     assert searcher.canonical_key(c.copies) != searcher.canonical_key(a.copies)
@@ -240,15 +240,20 @@ def _point_rows(points):
 def test_identity_reads_no_float(family, n, K):
     # which vertices, sides and translates coincide is decided by the
     # exact vertex keys and anchors: with every float vertex gone,
-    # analyze_node and _translation_recurrence give the same answers,
-    # and so does every step of forced_sim's running analysis
+    # the root's and every child's analysis and _translation_recurrence
+    # give the same answers, and so does every step of forced_sim's
+    # running analysis
     searcher = _searcher(family, n, K)
     analyses, recurrences, steps = [], [], []
     real_an, real_rec = searcher.analyze_node, searcher._translation_recurrence
-    real_add = searcher.add_copy
+    real_add, real_child = searcher.add_copy, searcher.child_analysis
 
     def analyze(node):
         analyses.append((node.copies, real_an(node)))
+        return analyses[-1][1]
+
+    def child_analysis(an, c):
+        analyses.append((tuple(an.copies) + (c,), real_child(an, c)))
         return analyses[-1][1]
 
     def recurrence(copies):
@@ -261,6 +266,7 @@ def test_identity_reads_no_float(family, n, K):
                       _point_rows(an.points)))
 
     searcher.analyze_node = analyze
+    searcher.child_analysis = child_analysis
     searcher._translation_recurrence = recurrence
     searcher.add_copy = add_copy
     report = SearchReport(family, n, 1, K, "none_found",
@@ -269,10 +275,11 @@ def test_identity_reads_no_float(family, n, K):
     del searcher.add_copy
     if family == "5a":
         assert {hit for _, hit in recurrences} == {True, False}
+    assert len(analyses) > report.statistics["nodes"]
     assert max(len(copies) for copies, _, _ in steps) > K
     for copies, *_ in analyses + recurrences + steps:
         for c in copies:
-            c.verts = None
+            c.shift = None
     fields = ("external", "points", "boundary", "complete")
     for copies, an in analyses:
         again = real_an(_Node(copies))
@@ -317,23 +324,46 @@ def _rebuilt(searcher, copies):
     return external, _point_rows(points), _point_rows(boundary), complete
 
 
+def _tables(an):
+    """An analysis's copies, side order and point rows, copied."""
+    return (list(an.copies), list(an.sides.items()), _point_rows(an.points))
+
+
 @pytest.mark.parametrize("family,n,K", [("2", 5, 6), ("2", 7, 6),
                                         ("5a", None, 10)])
 def test_incremental_analysis_matches_rebuild(family, n, K):
     # a grown node is its parent plus one copy.  After every add_copy,
-    # in analyze_node's fold and in forced_sim's running analysis, the
-    # sides and points are, in order, what a rebuild gives; and every
-    # read of the replay's legality table answers as a fresh
-    # legal_child on a new node.  The nodes are the retained lists and
-    # those the search replays from (5a at K=10 retains none).
+    # in analyze_node's fold, in a child's growth from its parent's
+    # tables and in forced_sim's running analysis, the sides and points
+    # are, in order, what a rebuild gives; the analysis each node is
+    # expanded with and each replay's starting tables are those of a
+    # rebuild too, and a replay leaves the tables it starts from (which
+    # the node keeps for its expansion) as they were.  Every read of
+    # the replay's legality table answers as a fresh legal_child on a
+    # new node.  The nodes are the retained lists and those the search
+    # replays from (5a at K=10 retains none).
     searcher = _searcher(family, n, K)
     nodes, reads = [], []
     real_sim, real_add = searcher.forced_sim, searcher.add_copy
-    real_child = searcher.grown_child
+    real_child, real_eval = searcher.grown_child, searcher.evaluate
 
-    def sim(node):
-        nodes.append(node)
-        return real_sim(node)
+    def whole(an, copies):
+        assert an.copies == list(copies)
+        assert (an.external, _point_rows(an.points),
+                _point_rows(an.boundary), an.complete) == _rebuilt(
+                    searcher, copies)
+
+    def sim(an):
+        whole(an, an.copies)
+        before = _tables(an)
+        hit = real_sim(an)
+        assert _tables(an) == before
+        nodes.append(_Node(tuple(an.copies)))
+        return hit
+
+    def evaluate(node, an):
+        whole(an, node.copies)
+        return real_eval(node, an)
 
     def add_copy(an, c):
         real_add(an, c)
@@ -347,10 +377,11 @@ def test_incremental_analysis_matches_rebuild(family, n, K):
         return new
 
     searcher.forced_sim, searcher.add_copy = sim, add_copy
+    searcher.evaluate = evaluate
     report = SearchReport(family, n, 1, K, "none_found",
                           statistics={"nodes": 0})
     _run_enumeration(searcher, report, want="appropriate")
-    del searcher.forced_sim
+    del searcher.forced_sim, searcher.evaluate
     nodes += [node_from_words(searcher, words)
               for kept in report.rejected.values() for words in kept]
     assert nodes
@@ -363,7 +394,7 @@ def test_incremental_analysis_matches_rebuild(family, n, K):
                         searcher, prefix)
     searcher.grown_child = grown_child
     for node in nodes:
-        searcher.forced_sim(node)
+        searcher.forced_sim(searcher.analyze_node(node))
     del searcher.grown_child, searcher.add_copy
     assert max(len(copies) for copies, *_ in reads) > K
     for copies, ci, s, new in reads:
@@ -372,6 +403,95 @@ def test_incremental_analysis_matches_rebuild(family, n, K):
         if new is not None:
             assert (new.lin, new.vkeys, new.anchors) == (
                 fresh.lin, fresh.vkeys, fresh.anchors)
+
+
+def test_each_node_is_analysed_once():
+    # a node's tables are built once, as its parent's plus one copy, and
+    # serve its subtree prune, its forced replay and its expansion.  So
+    # outside forced_sim the enumeration makes one add_copy per analysed
+    # node: the root's and one per child it prunes or keeps.  Inside,
+    # every add_copy is a replayed move past the node's own copies.
+    searcher = _searcher("2", 5, 8)
+    outside, inside, folds, pruned = [], [], [], []
+    replaying = []
+    real_add, real_sim = searcher.add_copy, searcher.forced_sim
+    real_an, real_prune = searcher.analyze_node, searcher.subtree_prune
+
+    def add_copy(an, c):
+        real_add(an, c)
+        (inside if replaying else outside).append(len(an.copies))
+        if replaying:
+            assert len(an.copies) > replaying[-1]
+
+    def sim(an):
+        replaying.append(len(an.copies))
+        try:
+            return real_sim(an)
+        finally:
+            replaying.pop()
+
+    def analyze(node):
+        folds.append(len(replaying))
+        return real_an(node)
+
+    def prune(node, an):
+        pruned.append(node)
+        return real_prune(node, an)
+
+    searcher.add_copy, searcher.forced_sim = add_copy, sim
+    searcher.analyze_node, searcher.subtree_prune = analyze, prune
+    report = SearchReport("2", 5, 1, 8, "none_found",
+                          statistics={"nodes": 0})
+    _run_enumeration(searcher, report, want="appropriate")
+    assert report.statistics["nodes"] == 299
+    assert inside
+    assert folds == [0]
+    assert len(outside) == len(pruned) + 1
+
+
+def test_float_vertices_are_made_only_when_read(monkeypatch):
+    # a copy keeps its float shift; full float rows are made only for
+    # the overlap table's misses, two per float test.  Each vertex is
+    # bit for bit the float a chain of reflections of whole float rows
+    # gives: g'.v_j + (g.v_s + t) - g'.v_s, starting from FV[0].
+    import flatbilliards.search as search_mod
+
+    rows, tests = [], []
+    real_verts, real_sat = search_mod._Copy.verts, search_mod._sat_disjoint
+
+    def verts(c):
+        rows.append(1)
+        return real_verts.fget(c)
+
+    def sat(A, B):
+        tests.append(1)
+        return real_sat(A, B)
+
+    monkeypatch.setattr(search_mod._Copy, "verts", property(verts))
+    monkeypatch.setattr(search_mod, "_sat_disjoint", sat)
+    searcher = _searcher("2", 5, 8)
+    report = SearchReport("2", 5, 1, 8, "none_found",
+                          statistics={"nodes": 0})
+    _run_enumeration(searcher, report, want="appropriate")
+    assert tests and len(rows) <= 2 * len(tests)
+
+    def chained(word):
+        lin, vs = 0, searcher.fverts[0]
+        for s in word:
+            new = searcher.refl_lin[lin][s]
+            tx = vs[s][0] - searcher.fverts[new][s][0]
+            ty = vs[s][1] - searcher.fverts[new][s][1]
+            lin, vs = new, tuple((x + tx, y + ty)
+                                 for x, y in searcher.fverts[new])
+        return [(x.hex(), y.hex()) for x, y in vs]
+
+    lists = [w for kept in report.rejected.values() for w in kept]
+    assert lists
+    for words in lists:
+        for c, w in zip(node_from_words(searcher, words).copies, words):
+            assert [(x.hex(), y.hex()) for x, y in c.verts] == chained(w)
+            assert [(x.hex(), y.hex()) for x, y in map(
+                c.vert, range(searcher.k))] == chained(w)
 
 
 _PINNED = [
@@ -519,8 +639,8 @@ def _float_class(searcher, copies):
     moved by every group element, centred on their mean and rounded to
     a 1e-4 grid (the smallest gap between distinct positions here is
     far larger)."""
-    mx = sum(c.verts[0][0] for c in copies) / len(copies)
-    my = sum(c.verts[0][1] for c in copies) / len(copies)
+    mx = sum(c.vert(0)[0] for c in copies) / len(copies)
+    my = sum(c.vert(0)[1] for c in copies) / len(copies)
     best = None
     for gi, g in enumerate(searcher.G.elements()):
         th = math.pi * float(g.param) * (1 if g.kind == "rot" else 2)
@@ -528,7 +648,7 @@ def _float_class(searcher, copies):
         m = (a, -b, b, a) if g.kind == "rot" else (a, b, b, -a)
         key = []
         for c in copies:
-            x, y = c.verts[0][0] - mx, c.verts[0][1] - my
+            x, y = c.vert(0)[0] - mx, c.vert(0)[1] - my
             key.append((
                 searcher.mult[gi][c.lin],
                 round((m[0] * x + m[1] * y) * 1e4) + 0,
@@ -588,10 +708,10 @@ def test_search_reaches_every_class(family, n):
         reached.add(_float_class(searcher, copies))
         return keys[-1]
 
-    def sim(node):
-        hit = real_sim(node)
+    def sim(an):
+        hit = real_sim(an)
         if hit:
-            forcing.add(_float_class(searcher, node.copies))
+            forcing.add(_float_class(searcher, an.copies))
         return hit
 
     searcher.canonical_key, searcher.forced_sim = key, sim
