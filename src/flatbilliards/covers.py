@@ -15,6 +15,16 @@ rules out every overlap, so no side or vertex is tested against
 another copy.  Tiling symmetries are screened the same way: a group
 element is tested on the copies' vertices only when it maps the
 outline's edge sequence onto a cyclic shift of itself.
+
+Group elements are integers, read by D_N's law
+(`DihedralGroup.product`).  A copy is its group index g and its shift:
+a reflection word is chained index by index, each g.P is placed once
+per tiling, and a mirror pair is an index equality plus one exact
+vertex comparison.  The cover's charts are read the same way: the
+corner of base vertex v of copy c, seen from face h of the outline's
+surface, lies on face h.g_c of the base surface, whose corner table
+gives its class.  Exact arithmetic is left for placing vertices and
+for the outline's simplicity and area.
 """
 
 from __future__ import annotations
@@ -26,7 +36,6 @@ from fractions import Fraction
 from . import planar
 from .periodicity import classify_point
 from .polygons import (
-    DihedralGroup,
     Edge,
     LinearMap,
     Motion,
@@ -34,7 +43,7 @@ from .polygons import (
     PolygonError,
     group_of,
     minus_id_screen,
-    reflection_across_line,
+    side_reflections,
 )
 from .unfolding import TranslationSurface, unfold
 
@@ -47,28 +56,46 @@ class CoverError(ValueError):
 # building motions from reflection words
 
 
-def motion_from_word(P: Polygon, word) -> Motion:
-    """Compose reflections along a word of side indices.
+def motions_from_words(P: Polygon, words) -> list[Motion]:
+    """Compose reflections along each word of side indices.
 
     Starting from the identity copy of P, each index s reflects the
     current copy across its own side s; the result is the motion
     placing the final copy.  Side indices run from 0 to k - 1.
+
+    A copy is its group index g and shift t.  Reflected across its
+    side s it becomes g' = g.r_s, r_s the reflection across side s of
+    P, read by D_N's law, and it keeps its vertex s in place: t' = t +
+    g.v_s - g'.v_s = t + g.(v_s - r_s.v_s).  Each g.(v_s - r_s.v_s) is
+    placed once per call.
     """
-    verts = P.vertices()
-    k = len(verts)
-    cur = Motion.identity()
-    for s in word:
-        s = int(s)
-        if not 0 <= s < k:
-            raise CoverError(f"side index {s} out of range for {k} sides")
-        a = cur.apply(verts[s])
-        d = cur.orth.apply_angle(P.edges[s].direction.multiple)
-        cur = reflection_across_line(a, d).compose(cur)
-    return cur
+    G = group_of(P)
+    r = side_reflections(P, G)
+    k = len(r)
+    delta = [
+        planar.vsub(v, G.element(rs).apply_vec(v))
+        for v, rs in zip(P.vertices(), r)
+    ]
+    steps = {}  # (g, s) -> g.delta[s]
+    out = []
+    for word in words:
+        g, t = 0, planar.ORIGIN
+        for s in word:
+            s = int(s)
+            if not 0 <= s < k:
+                raise CoverError(f"side index {s} out of range for {k} sides")
+            step = steps.get((g, s))
+            if step is None:
+                step = steps[g, s] = G.element(g).apply_vec(delta[s])
+            t = planar.vadd(t, step)
+            g = G.product(g, r[s])
+        out.append(Motion(G.element(g), t))
+    return out
 
 
-def motions_from_words(P: Polygon, words) -> list[Motion]:
-    return [motion_from_word(P, w) for w in words]
+def motion_from_word(P: Polygon, word) -> Motion:
+    """The motion placing the copy that one word reaches."""
+    return motions_from_words(P, [word])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +108,7 @@ class Tiling:
 
     base: Polygon
     motions: tuple
+    indices: tuple  # per copy, its orthogonal part's base group index
     copy_vertices: tuple  # per copy, placed vertices in base order
     outline: Polygon  # Q, with vertex 0 at the origin of its own chart
     outline_points: tuple  # plane coordinates of Q's vertices
@@ -123,10 +151,17 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
                 "motion's orthogonal part is outside the base polygon's "
                 "reflection group"
             )
+    # each g.P is placed once, and each copy is its row plus its shift
+    indices = tuple(G_P.index_of(mo.orth) for mo in motions)
     base_verts = P.vertices()
+    rows = {
+        g: tuple(G_P.element(g).apply_vec(v) for v in base_verts)
+        for g in set(indices)
+    }
     k = len(base_verts)
     copy_vertices = [
-        tuple(mo.apply(v) for v in base_verts) for mo in motions
+        tuple(planar.vadd(p, mo.shift) for p in rows[g])
+        for g, mo in zip(indices, motions)
     ]
 
     # duplicate copies
@@ -158,16 +193,14 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
         else:
             external.append(owners[0])
 
-    # mirror adjacency across every internal side: an affine map is
-    # fixed by three non-collinear vertices, so comparing motions
-    # compares every placed vertex
+    # mirror adjacency across every internal side: the mirror image of
+    # copy ci across its side si has group index g_ci.r_si and keeps
+    # vertex si in place, and a motion is fixed by its linear part and
+    # the image of one point
+    r = side_reflections(P, G_P)
     for (ci, si), (cj, _) in internal_pairs:
-        d = motions[ci].orth.apply_angle(P.edges[si].direction.multiple)
-        mirrored = reflection_across_line(
-            copy_vertices[ci][si], d
-        ).compose(motions[ci])
-        if mirrored.orth != motions[cj].orth or not planar.veq(
-            mirrored.shift, motions[cj].shift
+        if indices[cj] != G_P.product(indices[ci], r[si]) or not planar.veq(
+            copy_vertices[ci][si], copy_vertices[cj][si]
         ):
             raise CoverError(
                 "adjacent copies are not mirror images across their "
@@ -253,6 +286,7 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
     return Tiling(
         base=P,
         motions=motions,
+        indices=indices,
         copy_vertices=tuple(copy_vertices),
         outline=outline,
         outline_points=tuple(points),
@@ -263,6 +297,8 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
 
 def tile_by_words(P: Polygon, words) -> Tiling:
     """Convenience: build motions from reflection words and verify."""
+    # both are called through the module attributes, which is where
+    # perfbench/tracing.py wraps what it times (verify_tiling)
     return verify_tiling(P, motions_from_words(P, words))
 
 
@@ -305,14 +341,12 @@ class CoverAnalysis:
         return [bp for bp in self.branch_points if bp.branched]
 
 
-def _position_of_source(face, v):
-    positions = [
-        q for q in range(len(face.source_vertex))
-        if face.source_vertex[q] == v
-    ]
-    if len(positions) != 1:
-        raise CoverError("ambiguous vertex in a face")  # pragma: no cover
-    return positions[0]
+def _image_class(M_P: TranslationSurface, h: int, g: int, v: int) -> int:
+    """The class id of the corner of base vertex v on face h.g of M_P:
+    where a chart turned by group element h sees vertex v of the copy
+    with group index g."""
+    fi = M_P.group.product(h, g)
+    return M_P.class_of_corner((fi, M_P.faces[fi].vertex_position(v))).class_id
 
 
 def _lexmin_point(points):
@@ -389,7 +423,6 @@ def analyze_cover(t: Tiling) -> CoverAnalysis:
     M_P = unfold(P)
     M_Q = unfold(Q)
     angles = P.angles()
-    k = len(P.edges)
 
     # census of tiling points (all placed copy vertices)
     points = {}
@@ -403,11 +436,11 @@ def analyze_cover(t: Tiling) -> CoverAnalysis:
         planar.vkey(p): qi for qi, p in enumerate(t.outline_points)
     }
 
-    def image_class_id(h_lin, c, v):
-        g = h_lin.compose(t.motions[c].orth)
-        gi = M_P.group.index_of(g)
-        pos = _position_of_source(M_P.faces[gi], v)
-        return M_P.class_of_corner((gi, pos)).class_id
+    # face fi of M_Q, with group element h, sees copy c on face h.g_c
+    h_index = [M_P.group.index_of(face.gmap) for face in M_Q.faces]
+
+    def image_class_id(fi, c, v):
+        return _image_class(M_P, h_index[fi], t.indices[c], v)
 
     per_class = {
         cp.class_id: {"k": [], "e": [], "sum": 0}
@@ -429,7 +462,7 @@ def analyze_cover(t: Tiling) -> CoverAnalysis:
             for face in M_Q.faces:
                 img = None
                 for c, _ in rec["corners"]:
-                    got = image_class_id(face.gmap, c, v)
+                    got = image_class_id(face.index, c, v)
                     if img is None:
                         img = got
                     elif got != img:
@@ -457,9 +490,8 @@ def analyze_cover(t: Tiling) -> CoverAnalysis:
                 pair = frozenset((face.index, partner))
                 img = None
                 for fi in pair:
-                    h_lin = M_Q.faces[fi].gmap
                     for c, _ in rec["corners"]:
-                        got = image_class_id(h_lin, c, v)
+                        got = image_class_id(fi, c, v)
                         if img is None:
                             img = got
                         elif got != img:
@@ -481,9 +513,8 @@ def analyze_cover(t: Tiling) -> CoverAnalysis:
             for cls in M_Q.classes_for_source_vertex(qi):
                 img = None
                 for fi, _ in cls.corners:
-                    h_lin = M_Q.faces[fi].gmap
                     for c, _ in rec["corners"]:
-                        got = image_class_id(h_lin, c, v)
+                        got = image_class_id(fi, c, v)
                         if img is None:
                             img = got
                         elif got != img:
@@ -574,7 +605,7 @@ def appropriate_verdict(analysis: CoverAnalysis, verdicts=None) -> dict:
     if len(branched) == 1:
         bp = branched[0]
         M_P = analysis.base_surface
-        cp = next(c for c in M_P.cone_points() if c.class_id == bp.class_id)
+        cp = M_P.cone_points()[bp.class_id]
         if verdicts is None:
             status = classify_point(M_P, cp).status
         else:

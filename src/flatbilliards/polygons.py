@@ -178,19 +178,48 @@ class Polygon:
         self._check_simple()
 
     def _check_simple(self):
-        pts = self.vertices()
+        """Refuse a polygon whose edges meet other than at the shared
+        vertex of two adjacent edges.
+
+        Adjacent edges need no exact test.  `_validate` has refused a
+        straight vertex, so two adjacent edges are collinear only when
+        the second turns back along the first (an interior angle of
+        2 pi), and then they overlap; otherwise they meet only at their
+        shared vertex.  Their directions decide it, and a triangle has
+        no such vertex.  A non-adjacent pair is decided exactly unless
+        the float boxes of its edges are apart.  `float()` is correctly
+        rounded and so monotone: a point the two edges share has each
+        float coordinate inside both boxes, so boxes that are apart
+        prove the edges disjoint.  A coordinate too large for a float
+        gives its box an unbounded side.  Pairs are tested in the order
+        (i, j), i < j, and the first that meets is named.
+        """
         k = len(self.edges)
-        segs = [(pts[i], pts[(i + 1) % k]) for i in range(k)]
+        if k == 3:
+            return
+        pts = self.vertices()
+        bounds = [_float_bounds(x) + _float_bounds(y) for x, y in pts]
+        boxes = [
+            (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]),
+             max(a[3], b[3]))
+            for a, b in zip(bounds, bounds[1:] + bounds[:1])
+        ]
+        dirs = [e.direction.multiple for e in self.edges]
         for i in range(k):
+            xlo, xhi, ylo, yhi = boxes[i]
             for j in range(i + 1, k):
-                info = planar.segments_overlap_info(*segs[i], *segs[j])
-                adjacent = (j == i + 1) or (i == 0 and j == k - 1)
-                if adjacent:
-                    if info != "point":
-                        raise PolygonError(
-                            f"adjacent edges {i},{j} overlap"
-                        )
-                elif info != "disjoint":
+                if j == i + 1 or (i == 0 and j == k - 1):
+                    if (dirs[j] - dirs[i]) % 2 == 1:
+                        raise PolygonError(f"adjacent edges {i},{j} overlap")
+                    continue
+                bxlo, bxhi, bylo, byhi = boxes[j]
+                if xhi < bxlo or bxhi < xlo or yhi < bylo or byhi < ylo:
+                    continue
+                # through the module attribute: perfbench/tracing.py
+                # wraps planar's predicates there
+                info = planar.segments_overlap_info(
+                    pts[i], pts[(i + 1) % k], pts[j], pts[(j + 1) % k])
+                if info != "disjoint":
                     raise PolygonError(
                         f"edges {i} and {j} intersect: not simple"
                     )
@@ -218,6 +247,16 @@ class Polygon:
     def __repr__(self):
         angle_str = ",".join(str(a.multiple) for a in self.angles())
         return f"Polygon(angles=[{angle_str}])"
+
+
+def _float_bounds(x: CyclotomicReal) -> tuple:
+    """(float(x), float(x)), or unbounded where x is too large for a
+    float."""
+    try:
+        f = float(x)
+    except OverflowError:
+        return -math.inf, math.inf
+    return f, f
 
 
 # ---------------------------------------------------------------------------
@@ -251,27 +290,6 @@ class LinearMap:
     @property
     def det(self) -> int:
         return 1 if self.kind == "rot" else -1
-
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        """self after other (matrix product self*other)."""
-        a, b = self, other
-        if a.kind == "rot" and b.kind == "rot":
-            return LinearMap("rot", a.param + b.param)
-        if a.kind == "rot" and b.kind == "ref":
-            return LinearMap("ref", b.param + a.param / 2)
-        if a.kind == "ref" and b.kind == "rot":
-            return LinearMap("ref", a.param - b.param / 2)
-        return LinearMap("rot", 2 * (a.param - b.param))
-
-    def __mul__(self, other):
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        return self.compose(other)
-
-    def inverse(self) -> "LinearMap":
-        if self.kind == "rot":
-            return LinearMap("rot", -self.param)
-        return self
 
     def apply_angle(self, direction) -> Fraction:
         """Image of a direction (units of pi), mod 2."""
@@ -349,10 +367,6 @@ class DihedralGroup:
         j = index - self.N
         return LinearMap.reflection(self.base_axis + Fraction(j, self.N))
 
-    @property
-    def order(self) -> int:
-        return 2 * self.N
-
     def is_subgroup_of(self, other: "DihedralGroup") -> bool:
         if other.N % self.N != 0:
             return False
@@ -405,6 +419,12 @@ def group_of(P: Polygon) -> DihedralGroup:
     return DihedralGroup(N, base)
 
 
+def side_reflections(P: Polygon, G: DihedralGroup) -> list[int]:
+    """r[s]: the index in G of the reflection across side s of P."""
+    return [G.index_of(LinearMap.reflection(e.direction.multiple))
+            for e in P.edges]
+
+
 def minus_id_screen(P: Polygon, external_sides=None) -> dict:
     """Does -Id belong to G_P, and which trigger shows it?
 
@@ -447,27 +467,8 @@ class Motion:
     orth: LinearMap
     shift: planar.Vec
 
-    @staticmethod
-    def identity() -> "Motion":
-        return Motion(LinearMap.identity(), planar.ORIGIN)
-
     def apply(self, p: planar.Vec) -> planar.Vec:
         return planar.vadd(self.orth.apply_vec(p), self.shift)
 
-    def compose(self, other: "Motion") -> "Motion":
-        """self after other."""
-        return Motion(
-            self.orth.compose(other.orth),
-            planar.vadd(self.orth.apply_vec(other.shift), self.shift),
-        )
-
     def key(self):
         return (self.orth.kind, self.orth.param, planar.vkey(self.shift))
-
-
-def reflection_across_line(point: planar.Vec, direction) -> Motion:
-    """Reflection across the line through `point` with rational
-    direction (units of pi)."""
-    orth = LinearMap.reflection(_angle_value(direction) % 1)
-    shift = planar.vsub(point, orth.apply_vec(point))
-    return Motion(orth, shift)

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field as dc_field
 from .catalog import CatalogEntry
 from .covers import analyze_cover, appropriate_verdict, tile_by_words
 from .periodicity import classify_point, default_directions
-from .polygons import LinearMap, group_of
+from .polygons import group_of, side_reflections
 from .unfolding import unfold
 
 _EPS = 1e-7
@@ -129,6 +129,8 @@ class _Copy:
     element 0 is the identity, so anchors[0] is t itself.  vkeys[j] is
     the packed exact position g.v_j + t of base vertex j, and `vset`
     the set of them: these decide which vertices and copies coincide.
+    Both are made on first read, so a child dropped as a congruent
+    repeat, which reads only its anchors, never makes them.
 
     The float guide is `shift`, t as floats, and `row`, the float
     positions g.v_j (the row FV[lin]).  A float vertex is made only
@@ -136,7 +138,8 @@ class _Copy:
     reflection, `verts` for the overlap tests of placements the
     search's table has not met yet."""
 
-    __slots__ = ("lin", "row", "shift", "word", "vkeys", "vset", "anchors")
+    __slots__ = ("lin", "row", "shift", "word", "anchors", "origin",
+                 "_vkeys", "_vset")
 
     def __init__(self, lin, row, shift, word, anchors, origin):
         """`origin` is the row E[lin] of packed vertex positions g.v_j."""
@@ -144,9 +147,22 @@ class _Copy:
         self.row = row
         self.shift = shift
         self.word = word
-        self.vkeys = tuple(e + anchors[0] for e in origin)
-        self.vset = frozenset(self.vkeys)
         self.anchors = anchors
+        self.origin = origin
+        self._vkeys = self._vset = None
+
+    @property
+    def vkeys(self):
+        if self._vkeys is None:
+            t = self.anchors[0]
+            self._vkeys = tuple(e + t for e in self.origin)
+        return self._vkeys
+
+    @property
+    def vset(self):
+        if self._vset is None:
+            self._vset = frozenset(self.vkeys)
+        return self._vset
 
     def vert(self, j):
         """Float vertex g.v_j + t."""
@@ -251,22 +267,17 @@ class _Search:
         # class of the corner at base vertex v inside the copy whose
         # orthogonal part is group element gi (face order matches the
         # group-element order)
-        self.cls_of = []
-        for gi in range(2 * self.N):
-            face = self.M.faces[gi]
-            row = []
-            for v in range(self.k):
-                pos = next(
-                    q for q in range(self.k) if face.source_vertex[q] == v
-                )
-                row.append(self.M.class_of_corner((gi, pos)).class_id)
-            self.cls_of.append(row)
+        cls = self.M.class_of_corner
+        self.cls_of = [
+            [cls((f.index, f.vertex_position(v))).class_id
+             for v in range(self.k)]
+            for f in self.M.faces
+        ]
         self.mult = self.G.multiplication_table()
         self.inv = [row.index(0) for row in self.mult]
         # reflecting a copy with linear part g across its side s gives
         # g.r_s, r_s the reflection across base side s
-        r = [self.G.index_of(LinearMap.reflection(e.direction.multiple))
-             for e in base_polygon.edges]
+        r = side_reflections(base_polygon, self.G)
         self.refl_lin = [[row[rs] for rs in r] for row in self.mult]
         self.E, self.fverts, self.deltas = self._anchor_deltas(longest)
         # (h, d) -> whether a copy blocks one placed at h.x + d in its

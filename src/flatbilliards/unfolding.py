@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import planar
 from .cyclotomic import CyclotomicReal
 from .polygons import (DihedralGroup, LinearMap, Polygon, RationalAngle,
-                       group_of)
+                       group_of, side_reflections)
 
 
 class SurfaceError(ValueError):
@@ -55,6 +55,10 @@ class Face:
                                      + turn))
             for s in map(self.side_position_of_source, range(k))
         )
+
+    def vertex_position(self, v: int) -> int:
+        """Position of source vertex v: source_vertex is an involution."""
+        return v * self.det % len(self.source_vertex)
 
     def side_position_of_source(self, s: int) -> int:
         """Position of source side s, and the source side at position s."""
@@ -95,6 +99,7 @@ class TranslationSurface:
         self.pairing: dict = {}
         self._build_pairing()
         self._cone_points = None
+        self._corner_class = None
         self._vertices = None
         self.decompositions: dict = {}  # memo of periodicity.classify_points
 
@@ -105,8 +110,7 @@ class TranslationSurface:
         # reflection across side s of P: the reflection across g's image
         # of that side is g.r_s.g^-1
         G = self.group
-        r = [G.index_of(LinearMap.reflection(e.direction.multiple))
-             for e in self.polygon.edges]
+        r = side_reflections(self.polygon, G)
         for face in self.faces:
             for p, side in enumerate(face.sides):
                 s = side.source
@@ -157,10 +161,13 @@ class TranslationSurface:
         return (fj, (q + 1) % self.k)
 
     def cone_points(self) -> list[ConePoint]:
+        """The vertex classes, found on the first call together with
+        the corner table that `class_of_corner` reads."""
         if self._cone_points is not None:
             return self._cone_points
         seen = set()
         classes = []
+        table = [[None] * self.k for _ in self.faces]
         angles = self.polygon.angles()
         for fi in range(len(self.faces)):
             for p in range(self.k):
@@ -190,23 +197,26 @@ class TranslationSurface:
                     raise SurfaceError(
                         f"vertex class angle {total} is not a multiple of 2*pi"
                     )
-                classes.append(
-                    ConePoint(
-                        class_id=len(classes),
-                        multiplicity=int(total // 2),
-                        corners=frozenset(orbit),
-                        source_vertex=src,
-                        angle=angles[src],
-                    )
+                cp = ConePoint(
+                    class_id=len(classes),
+                    multiplicity=int(total // 2),
+                    corners=frozenset(orbit),
+                    source_vertex=src,
+                    angle=angles[src],
                 )
+                classes.append(cp)
+                for f, q in orbit:
+                    table[f][q] = cp
+        self._corner_class = table
         self._cone_points = classes
         return classes
 
     def class_of_corner(self, corner) -> ConePoint:
-        for c in self.cone_points():
-            if corner in c.corners:
-                return c
-        raise SurfaceError(f"unknown corner {corner}")  # pragma: no cover
+        """The class of corner (face index, position)."""
+        if self._corner_class is None:
+            self.cone_points()
+        fi, p = corner
+        return self._corner_class[fi][p]
 
     def classes_for_source_vertex(self, v: int) -> list[ConePoint]:
         return [c for c in self.cone_points() if c.source_vertex == v]
@@ -245,16 +255,9 @@ class TranslationSurface:
     def act_on_corner(self, g: LinearMap, corner):
         """Image of a corner under the affine action of g on the surface."""
         fi, p = corner
-        face = self.faces[fi]
-        v = face.source_vertex[p]
+        v = self.faces[fi].source_vertex[p]
         fj = self.act_on_face(g, fi)
-        target = self.faces[fj]
-        positions = [
-            q for q in range(self.k) if target.source_vertex[q] == v
-        ]
-        if len(positions) != 1:
-            raise SurfaceError("ambiguous corner action")  # pragma: no cover
-        return (fj, positions[0])
+        return (fj, self.faces[fj].vertex_position(v))
 
     def act_on_class(self, g: LinearMap, cp: ConePoint) -> ConePoint:
         image = self.act_on_corner(g, cp.representative())

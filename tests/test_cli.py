@@ -71,6 +71,53 @@ def test_analyze_square_torus(tmp_path, capsys):
     assert doc["genus"] == {"g": 1, "chi": 0}
 
 
+def test_huge_coordinates_are_decided_exactly(tmp_path, capsys):
+    # float() of a coordinate of this square overflows: the outline
+    # screen gives it an unbounded box and the exact test decides
+    side = str(10**400)
+    poly = {"edges": [{"direction": d, "length": side}
+                      for d in ("0", "1/2", "1", "3/2")]}
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(poly))
+    code, doc, err = run(capsys, "analyze", "--in", str(path))
+    assert (code, err) == (0, None)
+    assert doc == {
+        "N": 2,
+        "faces": 4,
+        "genus": {"g": 1, "chi": 0},
+        "area_twice": {
+            "conductor": 1,
+            "coeffs": [str(8 * 10**800)],
+            "decimal": "8." + "0" * 49 + "e+800",
+        },
+        "cone_points": [
+            {"class_id": v, "multiplicity": 1, "source_vertex": v,
+             "angle": "1/2", "singular": False}
+            for v in range(4)
+        ],
+    }
+    path.write_text(json.dumps({"base": poly, "words": [[], [0], [1], [1, 0]]}))
+    code, doc, err = run(capsys, "check-cover", "--in", str(path))
+    assert (code, err) == (0, None)
+    assert doc == {
+        "copies": 4, "degree": 4, "N_base": 2, "N_outline": 2,
+        "subgroup_index": 1, "chi_base": 0, "chi_cover": 0,
+        "genus_base": 1, "genus_cover": 1,
+        "riemann_hurwitz_consistent": True, "total_ramification": 0,
+        "branch_points": [
+            {"source_vertex": v, "angle": "1/2", "class_id": v,
+             "multipliers": [kk] * 4, "ramification_indices": [1] * 4,
+             "branched": False}
+            for v, kk in enumerate((2, 4, 2, 1))
+        ],
+        "appropriate": False,
+        "reasons": [
+            "unbranched cover",
+            "rotation by pi in outline group (external_even_angle_pair)",
+        ],
+    }
+
+
 def test_cylinders_report_conserves_area(capsys):
     code, doc, _ = run(
         capsys,

@@ -24,9 +24,15 @@ from flatbilliards.polygons import (
     LinearMap,
     Motion,
     Polygon,
+    PolygonError,
     group_of,
     triangle_from_angles,
 )
+from flatbilliards.unfolding import unfold
+from reference import compose, motion_by_reflections
+
+
+IDENTITY = Motion(LinearMap.identity(), planar.ORIGIN)
 
 
 def square():
@@ -181,10 +187,10 @@ def test_unbranched_preimage_multiplier_one():
 
 def test_word_motions():
     P = triangle_from_angles(*P5)
-    assert motion_from_word(P, []).key() == Motion.identity().key()
+    assert motion_from_word(P, []).key() == IDENTITY.key()
     m = motion_from_word(P, [0])
     assert m.orth.det == -1
-    assert motion_from_word(P, [0, 0]).key() == Motion.identity().key()
+    assert motion_from_word(P, [0, 0]).key() == IDENTITY.key()
 
 
 def test_rejects_overlapping_copies():
@@ -228,14 +234,14 @@ def test_rejects_disconnected_union():
     sq = square()
     far = Motion(LinearMap.identity(), (embed(5), embed(0)))
     with pytest.raises(CoverError, match="disconnected"):
-        verify_tiling(sq, [Motion.identity(), far])
+        verify_tiling(sq, [IDENTITY, far])
 
 
 def test_rejects_translation_as_adjacency():
     sq = square()
     shifted = Motion(LinearMap.identity(), (embed(1), embed(0)))
     with pytest.raises(CoverError, match="mirror"):
-        verify_tiling(sq, [Motion.identity(), shifted])
+        verify_tiling(sq, [IDENTITY, shifted])
 
 
 def test_rejects_partial_side_sharing():
@@ -245,14 +251,14 @@ def test_rejects_partial_side_sharing():
     )
     # a side shared in part is no shared side, so nothing joins the two
     with pytest.raises(CoverError, match="disconnected"):
-        verify_tiling(sq, [Motion.identity(), half_up])
+        verify_tiling(sq, [IDENTITY, half_up])
 
 
 def test_rejects_orthogonal_part_outside_group():
     sq = square()
     bad = Motion(LinearMap.rotation(F(1, 3)), (embed(0), embed(0)))
     with pytest.raises(CoverError, match="reflection group"):
-        verify_tiling(sq, [Motion.identity(), bad])
+        verify_tiling(sq, [IDENTITY, bad])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +305,7 @@ def _grown_words(P, rng, count):
     """Reflection-grown words: each new copy mirrors an earlier one
     across one of its sides, so the union is connected; copies may
     overlap, and no two have the same motion."""
-    words, seen = [[]], {Motion.identity().key()}
+    words, seen = [[]], {IDENTITY.key()}
     while len(words) < count:
         last = words[-1] if rng.random() < 0.5 else rng.choice(words)
         w = last + [rng.randrange(len(P.edges))]
@@ -394,3 +400,114 @@ def test_check_cover_runs_no_pairwise_tests(tmp_path, monkeypatch, capsys):
     E, k = len(t.outline.edges), len(sq.edges)
     assert calls["segments"] <= E * (E - 1) // 2 + k * (k - 1) // 2
     assert calls["config"] == 1 + len(passing)
+
+
+# ---------------------------------------------------------------------------
+# the group law against the compositions it replaced
+
+COVERS_BASES = [("2", 5), ("2", 8), ("10", None), ("5a", None)]
+
+
+def test_word_motions_match_reflection_chains():
+    # copies placed by D_N's law on indices and one shift per step give
+    # the motion that chaining reflections across lines gives
+    rng = random.Random(19)
+    for family, n in COVERS_BASES:
+        P = make_entry(family, n).polygon
+        k = len(P.edges)
+        words = [[rng.randrange(k) for _ in range(rng.randint(0, 9))]
+                 for _ in range(25)]
+        got = motions_from_words(P, words)
+        assert [m.key() for m in got] == [
+            motion_by_reflections(P, w).key() for w in words
+        ]
+        assert motion_from_word(P, words[-1]).key() == got[-1].key()
+
+
+def _tilings():
+    """Every verified tiling of this file's corpus, and grown tilings
+    over the covers bases."""
+    out = [t for _, t in corpus()]
+    rng = random.Random(7)
+    for family, n in COVERS_BASES:
+        P = make_entry(family, n).polygon
+        for _ in range(6):
+            try:
+                out.append(tile_by_words(P, _grown_words(P, rng, 4)))
+            except CoverError:
+                pass
+    return out
+
+
+def test_image_classes_read_from_the_corner_table():
+    # the class of each corner in each chart of the outline's surface:
+    # group index products and the surface's corner table against
+    # composed linear maps and a scan of the classes
+    def reference(M_P, h_lin, g_lin, v):
+        gi = M_P.group.index_of(compose(h_lin, g_lin))
+        face = M_P.faces[gi]
+        (pos,) = [q for q in range(M_P.k) if face.source_vertex[q] == v]
+        (cls,) = [c for c in M_P.cone_points() if (gi, pos) in c.corners]
+        return cls.class_id
+
+    checked = 0
+    for t in _tilings():
+        M_P, M_Q = unfold(t.base), unfold(t.outline)
+        G = M_P.group
+        assert [G.index_of(mo.orth) for mo in t.motions] == list(t.indices)
+        for face in M_Q.faces:
+            h = G.index_of(face.gmap)
+            for c, mo in enumerate(t.motions):
+                for v in range(M_P.k):
+                    assert covers._image_class(
+                        M_P, h, t.indices[c], v
+                    ) == reference(M_P, face.gmap, mo.orth, v)
+                    checked += 1
+    assert checked > 1000
+
+
+def _rectilinear(points):
+    """Edges through lattice points joined by axis-parallel sides."""
+    dirs = {(1, 0): F(0), (0, 1): F(1, 2), (-1, 0): F(1), (0, -1): F(3, 2)}
+    edges = []
+    for (ax, ay), (bx, by) in zip(points, points[1:] + points[:1]):
+        n = abs(bx - ax) + abs(by - ay)
+        edges.append(Edge(dirs[((bx - ax) // n, (by - ay) // n)], n))
+    return edges
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        pytest.param(
+            [(0, 0), (2, 0), (2, 3), (-1, 3), (-1, 4), (1, 4), (1, 5), (0, 5)],
+            "edges 2 and 7 intersect: not simple",
+            id="crossing",
+        ),
+        pytest.param(
+            [(0, 0), (1, 0), (1, 2), (-3, 2), (-3, -3), (-2, -3), (-2, 2),
+             (0, 2)],
+            "edges 2 and 5 intersect: not simple",
+            id="vertex-on-edge",
+        ),
+        pytest.param(
+            [(0, 0), (-3, 0), (-3, 3), (-4, 3), (-4, 0), (1, 0), (1, 1),
+             (0, 1)],
+            "edges 0 and 4 intersect: not simple",
+            id="collinear-overlap",
+        ),
+        pytest.param(
+            [(0, 0), (-1, 0), (-1, -5), (-1, -2), (-3, -2), (-3, -4),
+             (0, -4)],
+            "adjacent edges 1,2 overlap",
+            id="spike",
+        ),
+    ],
+)
+def test_non_simple_outlines_are_refused(points, message):
+    # each offending pair has overlapping float boxes, so the screen
+    # leaves it to the exact test; a spike (an edge turning back along
+    # the one before) is read from the directions
+    with pytest.raises(PolygonError) as info:
+        Polygon(_rectilinear(points))
+    assert str(info.value) == message

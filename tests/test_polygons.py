@@ -4,20 +4,20 @@ import pytest
 
 from flatbilliards import cyclotomic as cy
 from flatbilliards import planar
+from flatbilliards.covers import motion_from_word
 from flatbilliards.polygons import (
     DihedralGroup,
     Edge,
     LinearMap,
-    Motion,
     Polygon,
     PolygonError,
     RationalAngle,
     angle_data,
     group_of,
     minus_id_screen,
-    reflection_across_line,
     triangle_from_angles,
 )
+from reference import compose, inverse
 
 
 def square(side=1):
@@ -149,12 +149,12 @@ def test_dihedral_group_laws():
     assert sum(1 for e in elems if e.det == -1) == 8
     ident = LinearMap.identity()
     for e in elems:
-        assert e.compose(e.inverse()) == ident
+        assert compose(e, inverse(e)) == ident
         assert e in g
     # closure
     for a in elems[:6]:
         for b in elems[-6:]:
-            assert a.compose(b) in g
+            assert compose(a, b) in g
 
 
 def test_linear_map_action():
@@ -167,7 +167,7 @@ def test_linear_map_action():
     # conjugation: g ref(b) g^-1 = ref(g(b))
     g = LinearMap.rotation(F(2, 5))
     b = LinearMap.reflection(F(1, 3))
-    conj = g.compose(b).compose(g.inverse())
+    conj = compose(compose(g, b), inverse(g))
     assert conj == LinearMap.reflection(g.apply_angle(F(1, 3)) % 1)
 
 
@@ -180,8 +180,8 @@ def test_group_of_uses_edge_directions():
 
 
 def test_motion_reflection_across_line():
-    m = reflection_across_line((cy.embed(0), cy.embed(1)), F(0))
-    # reflect across horizontal line y=1
+    # the unit square reflected across its side 2, the line y=1
+    m = motion_from_word(square(), [2])
     p = (cy.embed(3), cy.embed(0))
     assert planar.veq(m.apply(p), (cy.embed(3), cy.embed(2)))
     # involution
@@ -191,7 +191,7 @@ def test_motion_reflection_across_line():
 def test_reflection_preserves_polygon_shape():
     t = triangle_from_angles(F(1, 5), F(1, 3), F(7, 15))
     pts = t.vertices()
-    m = reflection_across_line(pts[0], t.edges[0].direction.multiple)
+    m = motion_from_word(t, [0])  # across the line of side 0
     image = [m.apply(p) for p in pts]
     # side lengths preserved as a multiset
     def side_lengths(ps):

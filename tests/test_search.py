@@ -21,6 +21,7 @@ from flatbilliards.search import (
     search_appropriate,
 )
 from flatbilliards.unfolding import unfold
+from reference import compose
 
 
 def _searcher(family, n, max_copies):
@@ -594,15 +595,15 @@ def test_integer_group_law(N):
         G = DihedralGroup(N, base)
         els = G.elements()
         assert G.multiplication_table() == [
-            [G.index_of(a.compose(b)) for b in els] for a in els]
+            [G.index_of(compose(a, b)) for b in els] for a in els]
 
 
 def _refl_lin_by_composition(searcher):
     """Reflecting copy g across its side s, composed as linear maps:
     the reflection across the image of side s's direction, after g."""
     return [
-        [searcher.G.index_of(LinearMap.reflection(
-            g.apply_angle(e.direction.multiple) % 1).compose(g))
+        [searcher.G.index_of(compose(LinearMap.reflection(
+            g.apply_angle(e.direction.multiple) % 1), g))
          for e in searcher.P.edges]
         for g in searcher.G.elements()
     ]
