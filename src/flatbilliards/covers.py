@@ -16,15 +16,18 @@ another copy.  Tiling symmetries are screened the same way: a group
 element is tested on the copies' vertices only when it maps the
 outline's edge sequence onto a cyclic shift of itself.
 
-Group elements are integers, read by D_N's law
-(`DihedralGroup.product`).  A copy is its group index g and its shift:
+Group elements and directions are integers, read by D_N's law
+(`DihedralGroup.product`) and its action on lattice directions
+(`DihedralGroup.act_on_direction`).  A copy is its group index g and its shift:
 a reflection word is chained index by index, each g.P is placed once
 per tiling, and a mirror pair is an index equality plus one exact
 vertex comparison.  The cover's charts are read the same way: the
 corner of base vertex v of copy c, seen from face h of the outline's
 surface, lies on face h.g_c of the base surface, whose corner table
-gives its class.  Exact arithmetic is left for placing vertices and
-for the outline's simplicity and area.
+gives its class, and the outline group's elements are read in the base
+group by one integer formula.  The outline's edge directions, and the
+symmetry screen over them, are lattice indices.  Exact arithmetic is
+left for placing vertices and for the outline's simplicity and area.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from . import planar
 from .periodicity import classify_point
 from .polygons import (
     Edge,
-    LinearMap,
     Motion,
     Polygon,
     PolygonError,
+    edge_directions,
     group_of,
     minus_id_screen,
     side_reflections,
@@ -221,15 +224,20 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
     if len(reached) != len(motions):
         raise CoverError("union of copies is disconnected")
 
-    # chain the external sides counterclockwise into the outline
+    # chain the external sides counterclockwise into the outline; a
+    # side's direction is its lattice index in G_P, moved by the copy's
+    # group index, and a reflected copy runs its side backwards
+    N = G_P.N
+    edge_dirs = edge_directions(P, G_P)
     directed = {}
     for c, s in external:
         verts = copy_vertices[c]
         a, b = verts[s], verts[(s + 1) % k]
-        d = motions[c].orth.apply_angle(P.edges[s].direction.multiple)
-        if motions[c].orth.det == -1:
+        d = edge_dirs[s]
+        if indices[c] >= N:
             a, b = b, a
-            d = (d + 1) % 2
+            d += N
+        d = G_P.act_on_direction(indices[c], d)
         key = planar.vkey(a)
         if key in directed:
             raise CoverError("copies overlap or the union touches itself: "
@@ -258,6 +266,7 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
         if rot == len(cycle):
             raise CoverError("outline is degenerate")
     cycle = cycle[rot:] + cycle[:rot]
+    table = G_P.directions()
     edges = []
     points = []
     i = 0
@@ -267,7 +276,7 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
         while j < len(cycle) and cycle[j][2] == d:
             length = length + cycle[j][3]
             j += 1
-        edges.append(Edge(d, length))
+        edges.append(Edge(table[d], length))
         points.append(a)
         i = j
     try:
@@ -349,6 +358,19 @@ def _image_class(M_P: TranslationSurface, h: int, g: int, v: int) -> int:
     return M_P.class_of_corner((fi, M_P.faces[fi].vertex_position(v))).class_id
 
 
+def _subgroup_indices(G_Q, G_P) -> list[int]:
+    """The index in G_P of each element of its subgroup G_Q, by one
+    integer formula: with m = N_P / N_Q, rot_i is rot_(i m), and ref_i,
+    across the axis base_Q + i/N_Q = base_P + (off + i m)/N_P, is
+    ref_((off + i m) mod N_P), where off = (base_Q - base_P) N_P is an
+    integer for a subgroup."""
+    N_P = G_P.N
+    m = N_P // G_Q.N
+    off = int((G_Q.base_axis - G_P.base_axis) * N_P)
+    rotations = [i * m for i in range(G_Q.N)]
+    return rotations + [N_P + (off + x) % N_P for x in rotations]
+
+
 def _lexmin_point(points):
     best = None
     for p in points:
@@ -376,20 +398,26 @@ def tiling_symmetries(t: Tiling) -> list:
     gT = T + tau forces gQ = Q + tau for the outline Q, so g must first
     map Q's edge sequence (direction, length key) onto a cyclic shift
     of itself; a reflection reverses the sequence and turns each edge
-    around.  Only a g that passes this exact screen is tested on the
-    copies' vertices, and the identity needs no test.
+    around.  The screen reads each direction as its lattice index in
+    the base group and moves it by D_N's integer action.  Only a g that
+    passes it is built as a linear map and tested on the copies'
+    vertices, and the identity needs no test.
     """
-    seq = [(e.direction.multiple, e.length.key()) for e in t.outline.edges]
+    G = group_of(t.base)
+    N = G.N
+    seq = list(zip(edge_directions(t.outline, G),
+                   (e.length.key() for e in t.outline.edges)))
     shifts = {tuple(seq[i:] + seq[:i]) for i in range(len(seq))}
     base_key = None
     out = []
-    for g in group_of(t.base).elements():
-        img = [(g.apply_angle(d), key) for d, key in seq]
-        if g.det == -1:
-            img = [((d + 1) % 2, key) for d, key in reversed(img)]
+    for gi in range(2 * N):
+        img = [(G.act_on_direction(gi, d), key) for d, key in seq]
+        if gi >= N:
+            img = [((d + N) % (2 * N), key) for d, key in reversed(img)]
         if tuple(img) not in shifts:
             continue
-        if g != LinearMap.identity():
+        g = G.element(gi)
+        if gi:
             if base_key is None:
                 base_key = _config_key(t.copy_vertices)
             moved = [
@@ -437,7 +465,7 @@ def analyze_cover(t: Tiling) -> CoverAnalysis:
     }
 
     # face fi of M_Q, with group element h, sees copy c on face h.g_c
-    h_index = [M_P.group.index_of(face.gmap) for face in M_Q.faces]
+    h_index = _subgroup_indices(M_Q.group, M_P.group)
 
     def image_class_id(fi, c, v):
         return _image_class(M_P, h_index[fi], t.indices[c], v)
@@ -615,7 +643,11 @@ def appropriate_verdict(analysis: CoverAnalysis, verdicts=None) -> dict:
         elif status != "non_periodic":
             reasons.append(unknown)
 
-        movers = list(group_of(Q).elements()) + list(analysis.H)
+        # the outline group and the tiling symmetries, as indices in G_P
+        G_P = M_P.group
+        movers = _subgroup_indices(analysis.cover_surface.group, G_P) + [
+            G_P.index_of(g) for g in analysis.H
+        ]
         if any(
             M_P.act_on_class(g, cp).class_id != cp.class_id for g in movers
         ):

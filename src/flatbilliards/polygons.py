@@ -4,6 +4,12 @@ A polygon is a counterclockwise circular list of edge vectors given by
 a rational direction (in units of pi) and an exact length.  Vertices
 are prefix sums, so closure and translation invariance are native.
 Reflex vertex angles are allowed; self-intersection is not.
+
+D_N is read by integers: its elements are indices (rotations 0..N-1,
+reflections N..2N-1) multiplied by `DihedralGroup.product`, and its
+lattice directions base + m/N are indices m mod 2N that an element
+moves by `DihedralGroup.act_on_direction`.  `LinearMap` is left for
+moving vectors.
 """
 
 from __future__ import annotations
@@ -127,7 +133,7 @@ class Polygon:
             for i in range(k):
                 d_in = self.edges[i - 1].direction.multiple
                 d_out = self.edges[i].direction.multiple
-                turn = (d_out - d_in + 1) % 2 - 1  # in (-1, 1]
+                turn = (d_out - d_in + 1) % 2 - 1  # in [-1, 1)
                 out.append(RationalAngle(1 - turn))
             self._angles = tuple(out)
         return self._angles
@@ -159,7 +165,9 @@ class Polygon:
             total = planar.vadd(total, e.vector())
         if not planar.is_zero_vec(total):
             raise PolygonError("edges do not close up")
-        # angles in (0, 2*pi), no straight vertices, total turn +2 (ccw)
+        # angles in (0, 2*pi), no straight vertices, total turn +2 (ccw);
+        # the turn lies in [-1, 1), and -1 is an edge that turns back
+        # along the one before
         turn_sum = Fraction(0)
         k = len(self.edges)
         for i in range(k):
@@ -168,8 +176,10 @@ class Polygon:
             turn = (d_out - d_in + 1) % 2 - 1
             if turn == 0:
                 raise PolygonError("straight (pi) vertex angle not allowed")
-            if turn == 1:
-                raise PolygonError("zero vertex angle not allowed")
+            if turn == -1:
+                raise PolygonError(
+                    f"edge {i} turns back along edge {(i - 1) % k}"
+                )
             turn_sum += turn
         if turn_sum != 2:
             raise PolygonError(
@@ -181,17 +191,15 @@ class Polygon:
         """Refuse a polygon whose edges meet other than at the shared
         vertex of two adjacent edges.
 
-        Adjacent edges need no exact test.  `_validate` has refused a
-        straight vertex, so two adjacent edges are collinear only when
-        the second turns back along the first (an interior angle of
-        2 pi), and then they overlap; otherwise they meet only at their
-        shared vertex.  Their directions decide it, and a triangle has
-        no such vertex.  A non-adjacent pair is decided exactly unless
-        the float boxes of its edges are apart.  `float()` is correctly
-        rounded and so monotone: a point the two edges share has each
-        float coordinate inside both boxes, so boxes that are apart
-        prove the edges disjoint.  A coordinate too large for a float
-        gives its box an unbounded side.  Pairs are tested in the order
+        Adjacent edges need no test: `_validate` has refused a straight
+        vertex and an edge that turns back along the one before, so two
+        adjacent edges are not collinear and meet only at their shared
+        vertex, and a triangle needs no test at all.  A non-adjacent
+        pair is decided exactly unless the float boxes of its edges are
+        apart.  `float()` is correctly rounded and so monotone: a point
+        the two edges share has each float coordinate inside both boxes,
+        so boxes that are apart prove the edges disjoint.  A coordinate
+        too large for a float gives its box an unbounded side.  Pairs are tested in the order
         (i, j), i < j, and the first that meets is named.
         """
         k = len(self.edges)
@@ -204,13 +212,10 @@ class Polygon:
              max(a[3], b[3]))
             for a, b in zip(bounds, bounds[1:] + bounds[:1])
         ]
-        dirs = [e.direction.multiple for e in self.edges]
         for i in range(k):
             xlo, xhi, ylo, yhi = boxes[i]
             for j in range(i + 1, k):
                 if j == i + 1 or (i == 0 and j == k - 1):
-                    if (dirs[j] - dirs[i]) % 2 == 1:
-                        raise PolygonError(f"adjacent edges {i},{j} overlap")
                     continue
                 bxlo, bxhi, bylo, byhi = boxes[j]
                 if xhi < bxlo or bxhi < xlo or yhi < bylo or byhi < ylo:
@@ -291,13 +296,6 @@ class LinearMap:
     def det(self) -> int:
         return 1 if self.kind == "rot" else -1
 
-    def apply_angle(self, direction) -> Fraction:
-        """Image of a direction (units of pi), mod 2."""
-        d = _angle_value(direction)
-        if self.kind == "rot":
-            return (d + self.param) % 2
-        return (2 * self.param - d) % 2
-
     def apply_vec(self, v: planar.Vec) -> planar.Vec:
         x, y = v
         if self.kind == "rot":
@@ -319,11 +317,45 @@ MINUS_ID = LinearMap.rotation(Fraction(1))
 
 class DihedralGroup:
     """D_N: rotations by 2*pi*j/N and reflections across axes
-    base + j/N (axis angles in units of pi)."""
+    base + j/N (axis angles in units of pi).
+
+    Its lattice directions are base + m/N mod 2, indexed by m in
+    0..2N-1.  The group acts on them by integers mod 2N: rot_j sends m
+    to m + 2j and ref_j sends m to 2j - m."""
 
     def __init__(self, N: int, base_axis: Fraction):
         self.N = N
         self.base_axis = Fraction(base_axis) % Fraction(1, N)
+        self._directions = None
+
+    def direction_index(self, direction) -> int:
+        """The index m of a lattice direction d (units of pi): m = (d -
+        base) N, read from the numerators and denominators."""
+        d, b = _angle_value(direction), self.base_axis
+        num = (d.numerator * b.denominator
+               - b.numerator * d.denominator) * self.N
+        den = d.denominator * b.denominator
+        if num % den:
+            raise PolygonError(
+                f"direction {direction} is not a lattice direction of "
+                f"D_{self.N}"
+            )
+        return num // den % (2 * self.N)
+
+    def directions(self) -> list[Fraction]:
+        """The 2N lattice directions base + m/N, in [0, 2), built on
+        the first call and kept with the group."""
+        if self._directions is None:
+            self._directions = [
+                (self.base_axis + Fraction(m, self.N)) % 2
+                for m in range(2 * self.N)
+            ]
+        return self._directions
+
+    def act_on_direction(self, g: int, m: int) -> int:
+        """The index of element g's image of lattice direction m."""
+        N = self.N
+        return (m + 2 * g if g < N else 2 * (g - N) - m) % (2 * N)
 
     def elements(self) -> list[LinearMap]:
         out = [
@@ -409,20 +441,21 @@ def group_of(P: Polygon) -> DihedralGroup:
     """The dihedral group generated by reflections in lines parallel to
     the sides of P."""
     N = angle_data(P)["N"]
-    base = P.edges[0].direction.multiple % 1
-    for e in P.edges:
-        rel = (e.direction.multiple - base) * N
-        if rel.denominator != 1:
-            raise PolygonError(
-                "edge directions are not compatible with N"
-            )  # pragma: no cover - prevented by rational angles
-    return DihedralGroup(N, base)
+    G = DihedralGroup(N, P.edges[0].direction.multiple)
+    edge_directions(P, G)  # refuses an edge off the lattice
+    return G
+
+
+def edge_directions(P: Polygon, G: DihedralGroup) -> list[int]:
+    """The lattice index in G of each edge direction of P."""
+    return [G.direction_index(e.direction.multiple) for e in P.edges]
 
 
 def side_reflections(P: Polygon, G: DihedralGroup) -> list[int]:
-    """r[s]: the index in G of the reflection across side s of P."""
-    return [G.index_of(LinearMap.reflection(e.direction.multiple))
-            for e in P.edges]
+    """r[s]: the index in G of the reflection across side s of P.  The
+    side's direction base + m/N is its axis, and axes are taken mod 1,
+    so that reflection is ref_(m mod N)."""
+    return [G.N + m % G.N for m in edge_directions(P, G)]
 
 
 def minus_id_screen(P: Polygon, external_sides=None) -> dict:

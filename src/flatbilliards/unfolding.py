@@ -3,7 +3,10 @@
 The surface M_P = P~/~ is 2N copies of P, one per element g of the
 dihedral group G_P, glued by translation.  A face is combinatorial, so
 the side pairing, vertex classes and genus come from group indices
-alone.  Orientation-reversing copies traverse their boundary in
+alone.  Every side of every copy points along a lattice direction of
+G_P, base + m/N; a side keeps its index m, read by D_N's integer
+action, and its direction from the group's table of the 2N lattice
+directions, so unfolding does no angle arithmetic.  Orientation-reversing copies traverse their boundary in
 reversed vertex order so that every face boundary is counterclockwise;
 side pastings are then genuine translations between charts.  Only the
 flow and the surface dumps read coordinates; the surface's `vertices`
@@ -18,7 +21,7 @@ from fractions import Fraction
 from . import planar
 from .cyclotomic import CyclotomicReal
 from .polygons import (DihedralGroup, LinearMap, Polygon, RationalAngle,
-                       group_of, side_reflections)
+                       edge_directions, group_of, side_reflections)
 
 
 class SurfaceError(ValueError):
@@ -28,33 +31,45 @@ class SurfaceError(ValueError):
 @dataclass(frozen=True)
 class Side:
     """One oriented boundary side of a face: the side of P it copies
-    and its direction in the face's chart."""
+    and its direction in the face's chart, which is the group's
+    lattice direction `lattice` (base + lattice/N)."""
 
     source: int  # index of the side of P this came from
     direction: Fraction  # units of pi mod 2
+    lattice: int  # index of `direction` in the group's lattice, mod 2N
 
 
 class Face:
-    """One copy g.P, combinatorially: its group element `gmap`,
+    """One copy g.P, combinatorially: its group element g = `index`,
     `source_vertex[p]`, the vertex of P at counterclockwise position p,
     and `sides[p]`, the side from position p to p + 1.  Its coordinates
-    are the surface's `vertices[index]`."""
+    are the surface's `vertices[index]`.
 
-    __slots__ = ("index", "gmap", "det", "sides", "source_vertex")
+    `edge_dirs[s]` is the lattice index of side s of P; the side's
+    image under g is read by D_N's integer action on directions."""
 
-    def __init__(self, index: int, gmap: LinearMap, polygon: Polygon):
+    __slots__ = ("index", "group", "det", "sides", "source_vertex")
+
+    def __init__(self, index: int, group: DihedralGroup, edge_dirs):
         self.index = index
-        self.gmap = gmap
-        self.det = gmap.det
-        k = len(polygon.edges)
+        self.group = group
+        self.det = 1 if index < group.N else -1
+        k = len(edge_dirs)
         self.source_vertex = tuple(p * self.det % k for p in range(k))
         # a reversed copy runs each source side backwards, turned by pi
-        turn = 0 if self.det == 1 else 1
-        self.sides = tuple(
-            Side(s, gmap.apply_angle(polygon.edges[s].direction.multiple
-                                     + turn))
-            for s in map(self.side_position_of_source, range(k))
-        )
+        turn = 0 if self.det == 1 else group.N
+        table = group.directions()
+        sides = []
+        for s in map(self.side_position_of_source, range(k)):
+            m = group.act_on_direction(index, edge_dirs[s] + turn)
+            sides.append(Side(s, table[m], m))
+        self.sides = tuple(sides)
+
+    @property
+    def gmap(self) -> LinearMap:
+        """The face's group element as a linear map, built per read:
+        only coordinates need it."""
+        return self.group.element(self.index)
 
     def vertex_position(self, v: int) -> int:
         """Position of source vertex v: source_vertex is an involution."""
@@ -91,9 +106,9 @@ class TranslationSurface:
         self.polygon = polygon
         self.group: DihedralGroup = group_of(polygon)
         self.N = self.group.N
+        edge_dirs = edge_directions(polygon, self.group)
         self.faces = [
-            Face(i, self.group.element(i), polygon)
-            for i in range(2 * self.N)
+            Face(i, self.group, edge_dirs) for i in range(2 * self.N)
         ]
         self.k = len(polygon.edges)
         self.pairing: dict = {}
@@ -126,7 +141,7 @@ class TranslationSurface:
             b = self.faces[fj].sides[q]
             if a.source != b.source:
                 raise SurfaceError("paired sides copy different sides of P")
-            if (a.direction - b.direction) % 2 != 1:
+            if (a.lattice - b.lattice) % (2 * self.N) != self.N:
                 raise SurfaceError("paired sides are not anti-parallel")
 
     # -- coordinates --------------------------------------------------------
@@ -138,10 +153,11 @@ class TranslationSurface:
         sides cancel, and kept with the surface."""
         if self._vertices is None:
             base = self.polygon.vertices()
-            verts = [
-                tuple(f.gmap.apply_vec(base[i]) for i in f.source_vertex)
-                for f in self.faces
-            ]
+            verts = []
+            for f in self.faces:
+                g = f.gmap
+                verts.append(tuple(g.apply_vec(base[i])
+                                   for i in f.source_vertex))
             k = self.k
             # the sides cancel: end + partner's end = start + partner's start
             for (fi, p), (fj, q) in self.pairing.items():
@@ -248,18 +264,21 @@ class TranslationSurface:
 
     # -- group action ----------------------------------------------------------
 
-    def act_on_face(self, g: LinearMap, fi: int) -> int:
-        # face fi is group element fi
-        return self.group.product(self.group.index_of(g), fi)
+    def act_on_face(self, g, fi: int) -> int:
+        """The face g maps face fi to: face fi is group element fi, and
+        g is a group index or a linear map in the group."""
+        if isinstance(g, LinearMap):
+            g = self.group.index_of(g)
+        return self.group.product(g, fi)
 
-    def act_on_corner(self, g: LinearMap, corner):
+    def act_on_corner(self, g, corner):
         """Image of a corner under the affine action of g on the surface."""
         fi, p = corner
         v = self.faces[fi].source_vertex[p]
         fj = self.act_on_face(g, fi)
         return (fj, self.faces[fj].vertex_position(v))
 
-    def act_on_class(self, g: LinearMap, cp: ConePoint) -> ConePoint:
+    def act_on_class(self, g, cp: ConePoint) -> ConePoint:
         image = self.act_on_corner(g, cp.representative())
         return self.class_of_corner(image)
 

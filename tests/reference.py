@@ -1,13 +1,24 @@
 """Reference constructions for differential tests.
 
-The program reads D_N's products from group indices and chains copies
-by the group law.  The references here compose linear maps by their
+The program reads D_N's products from group indices, moves lattice
+directions by D_N's integer action and chains copies by the group law.
+The references here compose linear maps and move directions by their
 angle formulas and chain a word's copies as reflections across lines,
 the way the program once did, so tests can compare the two.
 """
 
+from fractions import Fraction
+
 from flatbilliards import planar
 from flatbilliards.polygons import LinearMap, Motion
+
+
+def apply_angle(g: LinearMap, direction) -> Fraction:
+    """Image of a direction (units of pi) under g, mod 2."""
+    d = Fraction(direction)
+    if g.kind == "rot":
+        return (d + g.param) % 2
+    return (2 * g.param - d) % 2
 
 
 def compose(a: LinearMap, b: LinearMap) -> LinearMap:
@@ -47,6 +58,6 @@ def motion_by_reflections(P, word) -> Motion:
     cur = Motion(LinearMap.identity(), planar.ORIGIN)
     for s in word:
         a = cur.apply(verts[s])
-        d = cur.orth.apply_angle(P.edges[s].direction.multiple)
+        d = apply_angle(cur.orth, P.edges[s].direction.multiple)
         cur = compose_motions(reflection_across_line(a, d), cur)
     return cur

@@ -466,6 +466,37 @@ def test_image_classes_read_from_the_corner_table():
     assert checked > 1000
 
 
+def test_outline_group_read_as_base_indices():
+    # G_Q's elements read in G_P by one integer formula, against
+    # index_of on the outline surface's face maps; the verdict's fixed
+    # point test against the linear maps it once read
+    shapes = set()
+    single = 0
+    for t in _tilings():
+        a = analyze_cover(t)
+        M_P, M_Q = a.base_surface, a.cover_surface
+        G = M_P.group
+        got = covers._subgroup_indices(M_Q.group, G)
+        assert got == [G.index_of(face.gmap) for face in M_Q.faces]
+        assert got == [G.index_of(g) for g in group_of(t.outline).elements()]
+        shapes.add((M_P.N // M_Q.N, got[M_Q.N] - M_P.N))
+        branched = a.branched_classes()
+        if len(branched) != 1:
+            continue
+        single += 1
+        cp = M_P.cone_points()[branched[0].class_id]
+        movers = list(group_of(t.outline).elements()) + list(a.H)
+        fixed = all(M_P.act_on_class(g, cp) == cp for g in movers)
+        statuses = {c.class_id: "non_periodic" for c in M_P.cone_points()}
+        reasons = appropriate_verdict(a, statuses)["reasons"]
+        assert fixed == (
+            "branch point is not fixed by the cover's symmetries"
+            not in reasons
+        )
+    # subgroups of index 1 and 2, with and without a turned axis
+    assert {(1, 0), (2, 0), (2, 1)} <= shapes and single >= 5
+
+
 def _rectilinear(points):
     """Edges through lattice points joined by axis-parallel sides."""
     dirs = {(1, 0): F(0), (0, 1): F(1, 2), (-1, 0): F(1), (0, -1): F(3, 2)}
@@ -499,15 +530,21 @@ def _rectilinear(points):
         pytest.param(
             [(0, 0), (-1, 0), (-1, -5), (-1, -2), (-3, -2), (-3, -4),
              (0, -4)],
-            "adjacent edges 1,2 overlap",
+            "edge 2 turns back along edge 1",
             id="spike",
+        ),
+        pytest.param(
+            [(-1, -5), (-1, -2), (-3, -2), (-3, -4), (0, -4), (0, 0),
+             (-1, 0)],
+            "edge 0 turns back along edge 6",
+            id="spike-at-vertex-0",
         ),
     ],
 )
 def test_non_simple_outlines_are_refused(points, message):
     # each offending pair has overlapping float boxes, so the screen
     # leaves it to the exact test; a spike (an edge turning back along
-    # the one before) is read from the directions
+    # the one before) is refused by the angle check, from the directions
     with pytest.raises(PolygonError) as info:
         Polygon(_rectilinear(points))
     assert str(info.value) == message

@@ -15,9 +15,10 @@ from flatbilliards.polygons import (
     angle_data,
     group_of,
     minus_id_screen,
+    side_reflections,
     triangle_from_angles,
 )
-from reference import compose, inverse
+from reference import apply_angle, compose, inverse
 
 
 def square(side=1):
@@ -163,12 +164,33 @@ def test_linear_map_action():
     assert planar.veq(r.apply_vec(v), (cy.embed(0), cy.embed(1)))
     f = LinearMap.reflection(F(1, 4))  # swap x and y
     assert planar.veq(f.apply_vec(v), (cy.embed(0), cy.embed(1)))
-    assert f.apply_angle(F(0)) == F(1, 2)
+    assert apply_angle(f, F(0)) == F(1, 2)
     # conjugation: g ref(b) g^-1 = ref(g(b))
     g = LinearMap.rotation(F(2, 5))
     b = LinearMap.reflection(F(1, 3))
     conj = compose(compose(g, b), inverse(g))
-    assert conj == LinearMap.reflection(g.apply_angle(F(1, 3)) % 1)
+    assert conj == LinearMap.reflection(apply_angle(g, F(1, 3)) % 1)
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_integer_direction_law(N):
+    # D_N moves lattice direction m (base + m/N) by integers mod 2N:
+    # against the angle formula for every element and every m
+    for base in (F(0), F(2, 7 * N)):
+        G = DihedralGroup(N, base)
+        table = G.directions()
+        assert len(table) == 2 * N
+        for m, d in enumerate(table):
+            assert d == (base + F(m, N)) % 2
+            assert G.direction_index(d) == m
+            assert G.direction_index(d + 2) == m
+        for gi, g in enumerate(G.elements()):
+            for m in range(2 * N):
+                got = G.act_on_direction(gi, m)
+                assert 0 <= got < 2 * N
+                assert table[got] == apply_angle(g, table[m])
+        with pytest.raises(PolygonError):
+            G.direction_index(base + F(1, 2 * N))
 
 
 def test_group_of_uses_edge_directions():
@@ -177,6 +199,11 @@ def test_group_of_uses_edge_directions():
     assert g.N == 8
     for e in t.edges:
         assert LinearMap.reflection(e.direction.multiple % 1) in g
+    # the reflection across each side, read from its lattice index
+    assert side_reflections(t, g) == [
+        g.index_of(LinearMap.reflection(e.direction.multiple % 1))
+        for e in t.edges
+    ]
 
 
 def test_motion_reflection_across_line():

@@ -21,7 +21,7 @@ from flatbilliards.search import (
     search_appropriate,
 )
 from flatbilliards.unfolding import unfold
-from reference import compose
+from reference import apply_angle, compose
 
 
 def _searcher(family, n, max_copies):
@@ -603,7 +603,7 @@ def _refl_lin_by_composition(searcher):
     the reflection across the image of side s's direction, after g."""
     return [
         [searcher.G.index_of(compose(LinearMap.reflection(
-            g.apply_angle(e.direction.multiple) % 1), g))
+            apply_angle(g, e.direction.multiple) % 1), g))
          for e in searcher.P.edges]
         for g in searcher.G.elements()
     ]

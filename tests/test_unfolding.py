@@ -13,7 +13,7 @@ from flatbilliards.polygons import (
 )
 from flatbilliards.search import _Search, _StatusOracle
 from flatbilliards.unfolding import unfold
-from reference import compose
+from reference import apply_angle, compose
 
 
 def square():
@@ -189,9 +189,35 @@ def test_pairing_and_action_read_the_group_law():
         for (fi, p), (fj, _q) in M.pairing.items():
             g = M.faces[fi].gmap
             e = M.polygon.edges[M.faces[fi].sides[p].source]
-            axis = g.apply_angle(e.direction.multiple) % 1
+            axis = apply_angle(g, e.direction.multiple) % 1
             assert fj == G.index_of(compose(LinearMap.reflection(axis), g))
         assert action == [
             [G.index_of(compose(g, f.gmap)) for f in M.faces]
             for g in G.elements()
         ]
+
+
+_CATALOG = ([("1", n) for n in range(3, 9)] + [("2", n) for n in range(4, 10)]
+            + [("3", n) for n in range(3, 8)] + [("4", n) for n in (5, 6, 7)]
+            + [("6", n) for n in range(4, 8)]
+            + [(f, None) for f in ("5a", "5b", "5c", "7", "8", "10")]
+            + [("9a", 7), ("9a", 9), ("9b", 5), ("9b", 7)])
+
+
+def test_side_directions_read_the_integer_action():
+    # each side's direction is the face's map applied to its source
+    # side's direction, turned by pi on a reversed copy, by the angle
+    # formula; its lattice index points at it in the group's table
+    checked = 0
+    for family, n in _CATALOG:
+        M = unfold(make_entry(family, n).polygon)
+        table = M.group.directions()
+        for f in M.faces:
+            assert f.gmap.det == f.det
+            turn = 0 if f.det == 1 else 1
+            for side in f.sides:
+                d = M.polygon.edges[side.source].direction.multiple
+                assert side.direction == apply_angle(f.gmap, d + turn)
+                assert table[side.lattice] == side.direction
+                checked += 1
+    assert checked > 1000
