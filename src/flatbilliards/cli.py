@@ -12,7 +12,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import fileio
+from . import fileio, planar
 from .catalog import CatalogError, list_families, make_entry
 from .covers import (
     analyze_cover,
@@ -295,16 +295,15 @@ def _cmd_search(args) -> int:
         import os
 
         os.makedirs(args.svg_dir, exist_ok=True)
-        verts = entry.polygon.vertices()
+        P = entry.polygon
         i = 0
         for tag, word_lists in report.rejected.items():
             slug = tag.replace(" ", "-").replace("(", "").replace(")", "")
             for words in word_lists:
                 fileio.svg_of_polygons(
-                    [
-                        [mo.apply(v) for v in verts]
-                        for mo in motions_from_words(entry.polygon, words)
-                    ],
+                    [[planar.vadd(p, mo.shift)
+                      for p in P.row(P.group().index_of(mo.orth))]
+                     for mo in motions_from_words(P, words)],
                     f"{args.svg_dir}/{slug}-{i:03d}.svg",
                 )
                 i += 1

@@ -13,21 +13,22 @@ A tiling is verified by its outline: once shared sides are mirror
 pairs and the union is connected, a simple counterclockwise outline
 rules out every overlap, so no side or vertex is tested against
 another copy.  Tiling symmetries are screened the same way: a group
-element is tested on the copies' vertices only when it maps the
-outline's edge sequence onto a cyclic shift of itself.
+element is tested on the copies only when it maps the outline's edge
+sequence onto a cyclic shift of itself.
 
 Group elements and directions are integers, read by D_N's law
 (`DihedralGroup.product`) and its action on lattice directions
-(`DihedralGroup.act_on_direction`).  A copy is its group index g and its shift:
-a reflection word is chained index by index, each g.P is placed once
-per tiling, and a mirror pair is an index equality plus one exact
-vertex comparison.  The cover's charts are read the same way: the
-corner of base vertex v of copy c, seen from face h of the outline's
-surface, lies on face h.g_c of the base surface, whose corner table
-gives its class, and the outline group's elements are read in the base
-group by one integer formula.  The outline's edge directions, and the
-symmetry screen over them, are lattice indices.  Exact arithmetic is
-left for placing vertices and for the outline's simplicity and area.
+(`DihedralGroup.act_on_direction`).  A copy is its group index g and
+its shift, placed as P's row g (`Polygon.row`) plus the shift: a word
+is chained index by index, and a mirror pair is an index equality plus
+one exact vertex comparison.  The cover's charts are read the same
+way: the corner of base vertex v of copy c, seen from face h of the
+outline's surface, lies on face h.g_c of the base surface, whose corner
+table gives its class, and the outline group's elements are read in
+the base group by one integer formula.  The outline's edge directions,
+and the symmetry screen over them, are lattice indices.  Exact
+arithmetic is left for walking P's rows, shifting copies, and the
+outline's simplicity and area.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .polygons import (
     Polygon,
     PolygonError,
     edge_directions,
-    group_of,
     minus_id_screen,
     side_reflections,
 )
@@ -69,17 +69,11 @@ def motions_from_words(P: Polygon, words) -> list[Motion]:
     A copy is its group index g and shift t.  Reflected across its
     side s it becomes g' = g.r_s, r_s the reflection across side s of
     P, read by D_N's law, and it keeps its vertex s in place: t' = t +
-    g.v_s - g'.v_s = t + g.(v_s - r_s.v_s).  Each g.(v_s - r_s.v_s) is
-    placed once per call.
+    g.v_s - g'.v_s, read from P's rows.
     """
-    G = group_of(P)
+    G = P.group()
     r = side_reflections(P, G)
     k = len(r)
-    delta = [
-        planar.vsub(v, G.element(rs).apply_vec(v))
-        for v, rs in zip(P.vertices(), r)
-    ]
-    steps = {}  # (g, s) -> g.delta[s]
     out = []
     for word in words:
         g, t = 0, planar.ORIGIN
@@ -87,11 +81,9 @@ def motions_from_words(P: Polygon, words) -> list[Motion]:
             s = int(s)
             if not 0 <= s < k:
                 raise CoverError(f"side index {s} out of range for {k} sides")
-            step = steps.get((g, s))
-            if step is None:
-                step = steps[g, s] = G.element(g).apply_vec(delta[s])
-            t = planar.vadd(t, step)
-            g = G.product(g, r[s])
+            g2 = G.product(g, r[s])
+            t = planar.vadd(t, planar.vsub(P.row(g)[s], P.row(g2)[s]))
+            g = g2
         out.append(Motion(G.element(g), t))
     return out
 
@@ -117,6 +109,7 @@ class Tiling:
     outline_points: tuple  # plane coordinates of Q's vertices
     internal_pairs: tuple  # ((ci, si), (cj, sj)) shared full sides
     external_sides: tuple  # (ci, si) on the boundary of Q
+    chain: tuple  # (copy, copy it was reached from, shared side)
 
     @property
     def n_copies(self) -> int:
@@ -147,25 +140,17 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
     motions = tuple(motions)
     if not motions:
         raise CoverError("a tiling needs at least one copy")
-    G_P = group_of(P)
+    G_P = P.group()
     for mo in motions:
         if mo.orth not in G_P:
             raise CoverError(
                 "motion's orthogonal part is outside the base polygon's "
                 "reflection group"
             )
-    # each g.P is placed once, and each copy is its row plus its shift
     indices = tuple(G_P.index_of(mo.orth) for mo in motions)
-    base_verts = P.vertices()
-    rows = {
-        g: tuple(G_P.element(g).apply_vec(v) for v in base_verts)
-        for g in set(indices)
-    }
-    k = len(base_verts)
-    copy_vertices = [
-        tuple(planar.vadd(p, mo.shift) for p in rows[g])
-        for g, mo in zip(indices, motions)
-    ]
+    copy_vertices = [tuple(planar.vadd(p, mo.shift) for p in P.row(g))
+                     for g, mo in zip(indices, motions)]
+    k = len(P.edges)
 
     # duplicate copies
     seen_sets = set()
@@ -210,18 +195,19 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
                 "shared side"
             )
 
-    # connectivity through shared sides
-    adjacency = {c: set() for c in range(len(motions))}
-    for (ci, _), (cj, _) in internal_pairs:
-        adjacency[ci].add(cj)
-        adjacency[cj].add(ci)
-    stack, reached = [0], {0}
-    while stack:
-        for nxt in adjacency[stack.pop()]:
+    # connectivity through shared sides: a breadth-first chain from
+    # copy 0 (the loop reads the entries it appends)
+    adjacency = {c: [] for c in range(len(motions))}
+    for (ci, si), (cj, _) in internal_pairs:
+        adjacency[ci].append((cj, si))
+        adjacency[cj].append((ci, si))
+    chain, reached = [(0, None, None)], {0}
+    for c, _, _ in chain:
+        for nxt, si in adjacency[c]:
             if nxt not in reached:
                 reached.add(nxt)
-                stack.append(nxt)
-    if len(reached) != len(motions):
+                chain.append((nxt, c, si))
+    if len(chain) != len(motions):
         raise CoverError("union of copies is disconnected")
 
     # chain the external sides counterclockwise into the outline; a
@@ -301,6 +287,7 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
         outline_points=tuple(points),
         internal_pairs=tuple(internal_pairs),
         external_sides=tuple(external),
+        chain=tuple(chain),
     )
 
 
@@ -336,7 +323,7 @@ class CoverAnalysis:
     subgroup_index: int
     degree: int
     branch_points: list
-    H: list  # linear maps of G_P preserving the tiling up to translation
+    H: list  # indices in G_P preserving the tiling up to translation
     total_ramification: int
     chi_base: int
     chi_cover: int
@@ -362,11 +349,11 @@ def _subgroup_indices(G_Q, G_P) -> list[int]:
     """The index in G_P of each element of its subgroup G_Q, by one
     integer formula: with m = N_P / N_Q, rot_i is rot_(i m), and ref_i,
     across the axis base_Q + i/N_Q = base_P + (off + i m)/N_P, is
-    ref_((off + i m) mod N_P), where off = (base_Q - base_P) N_P is an
-    integer for a subgroup."""
+    ref_((off + i m) mod N_P), where off is base_Q's lattice index in
+    G_P, which exists for a subgroup."""
     N_P = G_P.N
     m = N_P // G_Q.N
-    off = int((G_Q.base_axis - G_P.base_axis) * N_P)
+    off = G_P.direction_index(G_Q.base_axis)
     rotations = [i * m for i in range(G_Q.N)]
     return rotations + [N_P + (off + x) % N_P for x in rotations]
 
@@ -392,18 +379,21 @@ def _config_key(copy_vertices):
 
 
 def tiling_symmetries(t: Tiling) -> list:
-    """Linear maps of the base group carrying the tiling to a translate
-    of itself.
+    """Indices of the base group's elements that carry the tiling to a
+    translate of itself.
 
     gT = T + tau forces gQ = Q + tau for the outline Q, so g must first
     map Q's edge sequence (direction, length key) onto a cyclic shift
     of itself; a reflection reverses the sequence and turns each edge
     around.  The screen reads each direction as its lattice index in
     the base group and moves it by D_N's integer action.  Only a g that
-    passes it is built as a linear map and tested on the copies'
-    vertices, and the identity needs no test.
+    passes it is tested on the copies, and the identity needs no test.
+    The key ignores translation, so gT is re-chained from P's rows:
+    copy 0 goes to row g.g_0, and each later copy of `chain` to the
+    mirror of the copy it was reached from, as a word is chained.
     """
-    G = group_of(t.base)
+    P = t.base
+    G = P.group()
     N = G.N
     seq = list(zip(edge_directions(t.outline, G),
                    (e.length.key() for e in t.outline.edges)))
@@ -416,17 +406,16 @@ def tiling_symmetries(t: Tiling) -> list:
             img = [((d + N) % (2 * N), key) for d, key in reversed(img)]
         if tuple(img) not in shifts:
             continue
-        g = G.element(gi)
         if gi:
             if base_key is None:
                 base_key = _config_key(t.copy_vertices)
-            moved = [
-                tuple(g.apply_vec(v) for v in verts)
-                for verts in t.copy_vertices
-            ]
+            moved = [P.row(G.product(gi, h)) for h in t.indices]
+            for c, prev, s in t.chain[1:]:
+                d = planar.vsub(moved[prev][s], moved[c][s])
+                moved[c] = tuple(planar.vadd(p, d) for p in moved[c])
             if _config_key(moved) != base_key:
                 continue
-        out.append(g)
+        out.append(gi)
     return out
 
 
@@ -434,9 +423,9 @@ def analyze_cover(t: Tiling) -> CoverAnalysis:
     """Covering data of the cover of unfolded surfaces induced by a
     tiling, with every count cross-checked exactly."""
     P, Q = t.base, t.outline
-    G_P = group_of(P)
+    G_P = P.group()
     try:
-        G_Q = group_of(Q)
+        G_Q = Q.group()
     except PolygonError as exc:
         raise CoverError(f"inconsistent outline group: {exc}") from exc
     N_P, N_Q = G_P.N, G_Q.N
@@ -645,9 +634,8 @@ def appropriate_verdict(analysis: CoverAnalysis, verdicts=None) -> dict:
 
         # the outline group and the tiling symmetries, as indices in G_P
         G_P = M_P.group
-        movers = _subgroup_indices(analysis.cover_surface.group, G_P) + [
-            G_P.index_of(g) for g in analysis.H
-        ]
+        movers = (_subgroup_indices(analysis.cover_surface.group, G_P)
+                  + analysis.H)
         if any(
             M_P.act_on_class(g, cp).class_id != cp.class_id for g in movers
         ):

@@ -1,19 +1,19 @@
 """Exact straight-line flow on an unfolded surface.
 
-A decomposition in direction theta works in one chart: each face's
-vertices are rotated once by -theta, so the flow runs along +x and a
-point's height is its y.  Separatrices are traced face by face; a ray
-leaves a face where a side's ends straddle its y, at x offset by
-cot(pi*delta) for the side's direction delta from theta, and each
-cotangent is inverted once per decomposition.  Which corners a
-direction leaves from (`_corner_mode`) and which sides are parallel
-to the flow (`_ray_exit`) are read from rational angles alone.  When
-every separatrix closes up, the faces are cut along them and the
-pieces glued into cylinders with exact heights and circumferences.
+A decomposition in direction theta works in one chart: each face is
+walked along its sides over (cos, sin)(pi (d_m - theta)), its lattice
+directions turned by -theta, so the flow runs along +x and a point's
+height is its y.  Separatrices are traced face by face; a ray leaves a
+face where a side's ends straddle its y, at x offset by the cotangent
+c/s of the side's pair (none for s = 0, a side parallel to the flow),
+inverted once per decomposition.  Which corners a direction leaves
+from (`_corner_mode`) is read from rational angles alone.  When every
+separatrix closes up, the faces are cut along them and the pieces
+glued into cylinders with exact heights and circumferences.
 
 A chart has one conductor n, the lcm of the conductors of theta's cos
-and sin, of every vertex coordinate and of every cotangent it may use.
-Its vertices, gluing translations and cotangents are stored at n, and
+and sin and of the walk's inputs, P's side lengths and the pairs.  Its
+vertices, gluing translations and cotangents are stored at n, and
 sums, products and inverses of values at n stay at n.  At one
 conductor a value's stored form (coefficients reduced mod Phi_n over a
 positive denominator prime to them) is unique, so the chart keys a
@@ -31,7 +31,7 @@ from . import planar
 from .cyclotomic import (ZERO, CyclotomicReal, cos_pi, embed, is_rational,
                          sin_pi, totient)
 from .planar import vadd, vscale, vsub
-from .polygons import LinearMap, _angle_value
+from .polygons import _angle_value, walk
 from .unfolding import ConePoint, SurfaceError, TranslationSurface
 
 
@@ -143,16 +143,18 @@ class Decomposition:
         return len(self.cylinders)
 
 
+def _turned(M: TranslationSurface, theta: Fraction) -> list:
+    """(cos, sin)(pi (d_m - theta)) for the lattice directions m < N."""
+    return [(cos_pi(d - theta), sin_pi(d - theta))
+            for d in M.group.directions()[:M.N]]
+
+
 def _check_degree(M: TranslationSurface, theta: Fraction) -> int:
-    """The chart conductor n for direction theta: the lcm of the
-    conductors of cos and sin of theta, of every vertex coordinate, and
-    of cos and sin of every side direction's delta from theta (a
-    cotangent is stored at their lcm).  FlowError when phi(n) is above
-    MAX_CHART_DEGREE."""
-    deltas = {(s.direction - theta) % 1 for f in M.faces for s in f.sides}
+    """The chart conductor n for direction theta (see the module
+    docstring).  FlowError when phi(n) is above MAX_CHART_DEGREE."""
     n = math.lcm(cos_pi(theta).n, sin_pi(theta).n,
-                 *(x.n for vs in M.vertices for v in vs for x in v),
-                 *(c(d).n for d in deltas - {0} for c in (cos_pi, sin_pi)))
+                 *(e.length.n for e in M.polygon.edges),
+                 *(x.n for pair in _turned(M, theta) for x in pair))
     phi = totient(n)
     if phi > MAX_CHART_DEGREE:
         raise FlowError(f"direction {theta}: chart conductor {n} of degree "
@@ -183,25 +185,29 @@ def _corner_mode(M: TranslationSurface, corner, theta: Fraction):
 
 class _Chart:
     """One decomposition's chart and tracing state at conductor n: the
-    face vertices rotated by -theta, the gluing translations between
-    them, and the cotangents of the side directions met so far, all
-    stored at n."""
+    turned (cos, sin) table, the faces walked over it, the gluing
+    translations between them, and the cotangents met so far."""
 
     def __init__(self, M: TranslationSurface, theta, n, stop_ids, bound2):
         self.M = M
         self.theta = theta
         self.n = n
-        rot = LinearMap.rotation(-theta)
+        self.turned = _turned(M, theta)
+        half = [(c.lift(n), s.lift(n)) for c, s in self.turned]
+        self.table = half + [(-c, -s) for c, s in half]
+        lengths = [e.length.lift(n) for e in M.polygon.edges]
+        zero = ZERO.lift(n)
         self.verts = [
-            tuple((x.lift(n), y.lift(n)) for x, y in map(rot.apply_vec, vs))
-            for vs in M.vertices
+            walk([(s.source, s.lattice) for s in f.sides], lengths,
+                 self.table, (zero, zero))
+            for f in M.faces
         ]
         # own start -> partner end
         self.tau = {
             (fi, p): vsub(self.verts[fj][(q + 1) % M.k], self.verts[fi][p])
             for (fi, p), (fj, q) in M.pairing.items()
         }
-        self.cot: dict[Fraction, CyclotomicReal] = {}
+        self.cot = [None] * M.N
         self.stop_ids = stop_ids
         self.bound2 = bound2
         self.length = ZERO
@@ -215,12 +221,13 @@ class _Chart:
         if (self.length * self.length - self.bound2).sign() > 0:
             raise NotShownPeriodic(self.theta, "length bound exceeded")
 
-    def cotangent(self, delta: Fraction):
-        """cot(pi*delta) at the chart conductor, inverted once."""
-        cot = self.cot.get(delta)
+    def cotangent(self, m: int):
+        """cot(pi (d_m - theta)) at the chart conductor, inverted once."""
+        m %= self.M.N
+        cot = self.cot[m]
         if cot is None:
-            cot = (cos_pi(delta) / sin_pi(delta)).lift(self.n)
-            self.cot[delta] = cot
+            c, s = self.turned[m]
+            cot = self.cot[m] = (c / s).lift(self.n)
         return cot
 
     def _ray_exit(self, fi: int, x):
@@ -235,11 +242,11 @@ class _Chart:
         ys = [(v[1] - x[1]).sign() for v in verts]
         best = None
         for p, side in enumerate(self.M.faces[fi].sides):
-            delta = (side.direction - self.theta) % 1
-            if delta == 0 or ys[p] * ys[(p + 1) % k] > 0:
+            m = side.lattice
+            if self.table[m][1].is_zero or ys[p] * ys[(p + 1) % k] > 0:
                 continue
             a = verts[p]
-            t = a[0] - x[0] + (x[1] - a[1]) * self.cotangent(delta)
+            t = a[0] - x[0] + (x[1] - a[1]) * self.cotangent(m)
             if t.sign() <= 0:
                 continue
             if best is None or (t - best[0]).sign() < 0:
@@ -634,7 +641,8 @@ def height_split(M: TranslationSurface, dec: Decomposition, p) -> dict:
 
 
 def _locate_interior(dec: Decomposition, sp: SurfacePoint):
-    x = LinearMap.rotation(-dec.theta).apply_vec(sp.coords)
+    (px, py), c, s = sp.coords, cos_pi(dec.theta), sin_pi(dec.theta)
+    x = (px * c + py * s, py * c - px * s)  # turned by -theta
     for cyl in dec.cylinders:
         for piece, off in cyl.pieces:
             if piece.face != sp.face:

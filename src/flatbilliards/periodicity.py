@@ -24,7 +24,6 @@ from .flow import (
     cylinder_decomposition,
     height_split,
 )
-from .polygons import MINUS_ID
 from .unfolding import ConePoint, TranslationSurface
 
 
@@ -55,10 +54,9 @@ def default_directions(M: TranslationSurface) -> list:
 
 
 def minus_id_fixes(M: TranslationSurface, p: ConePoint) -> bool:
-    """Is -Id in the group and does its affine action fix this class?"""
-    if MINUS_ID not in M.group:
-        return False
-    return M.act_on_class(MINUS_ID, p).class_id == p.class_id
+    """Is -Id (rot_(N/2), in D_N for even N) in the group, and does its
+    affine action fix this class?"""
+    return M.N % 2 == 0 and M.act_on_class(M.N // 2, p).class_id == p.class_id
 
 
 # classify_point is the per-class entry the benchmark calls and wraps: the

@@ -8,8 +8,9 @@ Reflex vertex angles are allowed; self-intersection is not.
 D_N is read by integers: its elements are indices (rotations 0..N-1,
 reflections N..2N-1) multiplied by `DihedralGroup.product`, and its
 lattice directions base + m/N are indices m mod 2N that an element
-moves by `DihedralGroup.act_on_direction`.  `LinearMap` is left for
-moving vectors.
+moves by `DihedralGroup.act_on_direction`.  Exact vertices are walks
+along P's sides over the group's (cos, sin) table (`walk`), and no
+vector is rotated.  `LinearMap` is left for naming group elements.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class Edge:
 class Polygon:
     """A simple counterclockwise polygon with rational angles."""
 
-    __slots__ = ("edges", "_vertices", "_angles", "_key")
+    __slots__ = ("edges", "_vertices", "_angles", "_key", "_group", "_rows")
 
     def __init__(self, edges):
         self.edges = tuple(
@@ -112,18 +113,38 @@ class Polygon:
         self._vertices = None
         self._angles = None
         self._key = None
+        self._group = None
+        self._rows = {}
         self._validate()
 
     # -- derived geometry ----------------------------------------------------
 
     def vertices(self) -> tuple:
-        """Vertex i is the start point of edge i; vertex 0 is the origin."""
+        """Vertex i is the start point of edge i; vertex 0 is the origin:
+        the walk along the edges over their own (cos, sin) table."""
         if self._vertices is None:
-            pts = [planar.ORIGIN]
-            for e in self.edges[:-1]:
-                pts.append(planar.vadd(pts[-1], e.vector()))
-            self._vertices = tuple(pts)
+            es = self.edges
+            self._vertices = walk(
+                [(j, j) for j in range(len(es))], [e.length for e in es],
+                [(e.direction.cos(), e.direction.sin()) for e in es])
         return self._vertices
+
+    def group(self) -> "DihedralGroup":
+        """G_P, built by `group_of` on the first call and kept with P."""
+        if self._group is None:
+            self._group = group_of(self)
+        return self._group
+
+    def row(self, g: int) -> tuple:
+        """g.v_j for each vertex j, g an index of G_P: the walk along P's
+        sides turned by g, placed on the first read and kept with P."""
+        if g not in self._rows:
+            G = self.group()
+            sides = [(j, G.act_on_direction(g, m))
+                     for j, m in enumerate(edge_directions(self, G))]
+            self._rows[g] = walk(sides, [e.length for e in self.edges],
+                                 G.unit_vectors())
+        return self._rows[g]
 
     def angles(self) -> tuple:
         """Interior angle at each vertex (vertex i joins edges i-1 and i)."""
@@ -280,39 +301,12 @@ class LinearMap:
         period = 2 if self.kind == "rot" else 1
         object.__setattr__(self, "param", Fraction(self.param) % period)
 
-    @staticmethod
-    def identity() -> "LinearMap":
-        return LinearMap("rot", Fraction(0))
-
-    @staticmethod
-    def rotation(angle) -> "LinearMap":
-        return LinearMap("rot", _angle_value(angle))
-
-    @staticmethod
-    def reflection(axis) -> "LinearMap":
-        return LinearMap("ref", _angle_value(axis))
-
     @property
     def det(self) -> int:
         return 1 if self.kind == "rot" else -1
 
-    def apply_vec(self, v: planar.Vec) -> planar.Vec:
-        x, y = v
-        if self.kind == "rot":
-            if not self.param:
-                return v
-            c = cos_pi(self.param)
-            s = sin_pi(self.param)
-            return (x * c - y * s, x * s + y * c)
-        c = cos_pi(2 * self.param)
-        s = sin_pi(2 * self.param)
-        return (x * c + y * s, x * s - y * c)
-
     def __str__(self):
         return f"{self.kind}({self.param})"
-
-
-MINUS_ID = LinearMap.rotation(Fraction(1))
 
 
 class DihedralGroup:
@@ -327,6 +321,7 @@ class DihedralGroup:
         self.N = N
         self.base_axis = Fraction(base_axis) % Fraction(1, N)
         self._directions = None
+        self._units = None
 
     def direction_index(self, direction) -> int:
         """The index m of a lattice direction d (units of pi): m = (d -
@@ -352,20 +347,23 @@ class DihedralGroup:
             ]
         return self._directions
 
+    def unit_vectors(self) -> list:
+        """(cos, sin) of pi d_m for each lattice direction, built on the
+        first call and kept; d_(m+N) = d_m + 1, so the second half is the
+        first negated."""
+        if self._units is None:
+            half = [(cos_pi(d), sin_pi(d))
+                    for d in self.directions()[:self.N]]
+            self._units = half + [(-c, -s) for c, s in half]
+        return self._units
+
     def act_on_direction(self, g: int, m: int) -> int:
         """The index of element g's image of lattice direction m."""
         N = self.N
         return (m + 2 * g if g < N else 2 * (g - N) - m) % (2 * N)
 
     def elements(self) -> list[LinearMap]:
-        out = [
-            LinearMap.rotation(Fraction(2 * j, self.N)) for j in range(self.N)
-        ]
-        out += [
-            LinearMap.reflection(self.base_axis + Fraction(j, self.N))
-            for j in range(self.N)
-        ]
-        return out
+        return [self.element(i) for i in range(2 * self.N)]
 
     def __contains__(self, g: LinearMap) -> bool:
         if g.kind == "rot":
@@ -395,14 +393,17 @@ class DihedralGroup:
     def element(self, index: int) -> LinearMap:
         index %= 2 * self.N
         if index < self.N:
-            return LinearMap.rotation(Fraction(2 * index, self.N))
+            return LinearMap("rot", Fraction(2 * index, self.N))
         j = index - self.N
-        return LinearMap.reflection(self.base_axis + Fraction(j, self.N))
+        return LinearMap("ref", self.base_axis + Fraction(j, self.N))
 
     def is_subgroup_of(self, other: "DihedralGroup") -> bool:
-        if other.N % self.N != 0:
+        """N divides other's N, and base is a lattice direction of other."""
+        try:
+            other.direction_index(self.base_axis)
+        except PolygonError:
             return False
-        return LinearMap.reflection(self.base_axis) in other
+        return other.N % self.N == 0
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +438,22 @@ def angle_data(P: Polygon) -> dict:
     return {"angles": angles, "N": N, "group_order": 2 * N}
 
 
+def walk(sides, lengths, table, origin=planar.ORIGIN) -> tuple:
+    """The one placement of exact vertices: from `origin`, side (s, m)
+    adds lengths[s] times the (cos, sin) pair table[m].  The walk
+    closes, so its last side is not read."""
+    x, y = origin
+    out = [origin]
+    for s, m in sides[:-1]:
+        c, sn = table[m]
+        x, y = x + lengths[s] * c, y + lengths[s] * sn
+        out.append((x, y))
+    return tuple(out)
+
+
 def group_of(P: Polygon) -> DihedralGroup:
     """The dihedral group generated by reflections in lines parallel to
-    the sides of P."""
+    the sides of P, built afresh (`Polygon.group` keeps one)."""
     N = angle_data(P)["N"]
     G = DihedralGroup(N, P.edges[0].direction.multiple)
     edge_directions(P, G)  # refuses an edge off the lattice
@@ -499,9 +513,6 @@ class Motion:
 
     orth: LinearMap
     shift: planar.Vec
-
-    def apply(self, p: planar.Vec) -> planar.Vec:
-        return planar.vadd(self.orth.apply_vec(p), self.shift)
 
     def key(self):
         return (self.orth.kind, self.orth.param, planar.vkey(self.shift))

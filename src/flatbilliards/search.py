@@ -51,7 +51,7 @@ from dataclasses import dataclass, field as dc_field
 from .catalog import CatalogEntry
 from .covers import analyze_cover, appropriate_verdict, tile_by_words
 from .periodicity import classify_point, default_directions
-from .polygons import group_of, side_reflections
+from .polygons import side_reflections
 from .unfolding import unfold
 
 _EPS = 1e-7
@@ -252,7 +252,7 @@ class _Search:
         self.max_copies = max_copies
         self.max_nodes = max_nodes
         self.statuses = statuses
-        self.G = group_of(base_polygon)
+        self.G = base_polygon.group()
         self.N = self.G.N
         self.k = len(base_polygon.edges)
         self.angles = [a.multiple for a in base_polygon.angles()]
@@ -290,7 +290,7 @@ class _Search:
         """Vertex tables E and FV, and the anchor deltas.
 
         E[h][j] is the exact position h.v_j of base vertex j under group
-        element h, read from the surface's face h, packed: both
+        element h, read from P's row h (`Polygon.row`), packed: both
         coordinates in the power basis of one cyclotomic field over one
         common denominator.  FV[h][j] is the same point as floats.
         deltas[g][s][i] is what reflecting a copy with linear part g
@@ -309,10 +309,7 @@ class _Search:
         and two anchors by at most 4(longest_word - 1)B.  Both stay
         below 4 longest_word B < 2**(width - 1), so two packed keys or
         anchors are equal exactly when their vectors are."""
-        points = [[None] * self.k for _ in range(2 * self.N)]
-        for face, placed in zip(self.M.faces, self.M.vertices):
-            for p, j in enumerate(face.source_vertex):
-                points[face.index][j] = placed[p]
+        points = [self.P.row(h) for h in range(2 * self.N)]
         FV = [[(float(x), float(y)) for x, y in row] for row in points]
         n = math.lcm(*(c.n for row in points for p in row for c in p))
         points = [[[c.lift(n) for c in p] for p in row] for row in points]

@@ -6,11 +6,11 @@ the side pairing, vertex classes and genus come from group indices
 alone.  Every side of every copy points along a lattice direction of
 G_P, base + m/N; a side keeps its index m, read by D_N's integer
 action, and its direction from the group's table of the 2N lattice
-directions, so unfolding does no angle arithmetic.  Orientation-reversing copies traverse their boundary in
-reversed vertex order so that every face boundary is counterclockwise;
-side pastings are then genuine translations between charts.  Only the
-flow and the surface dumps read coordinates; the surface's `vertices`
-table places each face as g.P (no translation) on its first read.
+directions, so unfolding does no angle arithmetic.  Orientation-reversing
+copies traverse their boundary in reversed vertex order so that every
+face boundary is counterclockwise; side pastings are then genuine
+translations between charts.  Only the surface dumps and the search
+read coordinates: face g is P's row g (`Polygon.row`) in face order.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import planar
 from .cyclotomic import CyclotomicReal
 from .polygons import (DihedralGroup, LinearMap, Polygon, RationalAngle,
-                       edge_directions, group_of, side_reflections)
+                       edge_directions, side_reflections)
 
 
 class SurfaceError(ValueError):
@@ -68,7 +67,7 @@ class Face:
     @property
     def gmap(self) -> LinearMap:
         """The face's group element as a linear map, built per read:
-        only coordinates need it."""
+        only the surface dump names it."""
         return self.group.element(self.index)
 
     def vertex_position(self, v: int) -> int:
@@ -104,7 +103,7 @@ class TranslationSurface:
 
     def __init__(self, polygon: Polygon):
         self.polygon = polygon
-        self.group: DihedralGroup = group_of(polygon)
+        self.group: DihedralGroup = polygon.group()
         self.N = self.group.N
         edge_dirs = edge_directions(polygon, self.group)
         self.faces = [
@@ -149,23 +148,13 @@ class TranslationSurface:
     @property
     def vertices(self) -> list:
         """Face index -> its exact vertices g.v in counterclockwise
-        order.  Placed on the first read, which also checks that paired
-        sides cancel, and kept with the surface."""
+        order: P's row g in face order, read once and kept.  Paired
+        sides copy one side of P along anti-parallel lattice directions,
+        so they cancel by construction."""
         if self._vertices is None:
-            base = self.polygon.vertices()
-            verts = []
-            for f in self.faces:
-                g = f.gmap
-                verts.append(tuple(g.apply_vec(base[i])
-                                   for i in f.source_vertex))
-            k = self.k
-            # the sides cancel: end + partner's end = start + partner's start
-            for (fi, p), (fj, q) in self.pairing.items():
-                a, b = verts[fi], verts[fj]
-                if not planar.veq(planar.vadd(a[(p + 1) % k], b[(q + 1) % k]),
-                                  planar.vadd(a[p], b[q])):
-                    raise SurfaceError("paired sides differ in length")
-            self._vertices = verts
+            row = self.polygon.row
+            self._vertices = [tuple(row(f.index)[j] for j in f.source_vertex)
+                              for f in self.faces]
         return self._vertices
 
     # -- vertex classes -----------------------------------------------------

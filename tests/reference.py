@@ -1,16 +1,37 @@
 """Reference constructions for differential tests.
 
 The program reads D_N's products from group indices, moves lattice
-directions by D_N's integer action and chains copies by the group law.
-The references here compose linear maps and move directions by their
-angle formulas and chain a word's copies as reflections across lines,
-the way the program once did, so tests can compare the two.
+directions by D_N's integer action, chains copies by the group law and
+places vertices by walking along P's sides.  The references here
+compose linear maps, move directions by their angle formulas, rotate
+and reflect vectors, and chain a word's copies as reflections across
+lines, the way the program once did, so tests can compare the two.
 """
 
 from fractions import Fraction
 
 from flatbilliards import planar
+from flatbilliards.cyclotomic import cos_pi, sin_pi
 from flatbilliards.polygons import LinearMap, Motion
+
+
+def apply_vec(g: LinearMap, v):
+    """g.v, by the rotation or reflection matrix of g."""
+    x, y = v
+    if g.kind == "rot":
+        if not g.param:
+            return v
+        c = cos_pi(g.param)
+        s = sin_pi(g.param)
+        return (x * c - y * s, x * s + y * c)
+    c = cos_pi(2 * g.param)
+    s = sin_pi(2 * g.param)
+    return (x * c + y * s, x * s - y * c)
+
+
+def apply_motion(m: Motion, p):
+    """m(p) = m.orth(p) + m.shift."""
+    return planar.vadd(apply_vec(m.orth, p), m.shift)
 
 
 def apply_angle(g: LinearMap, direction) -> Fraction:
@@ -40,24 +61,24 @@ def compose_motions(m: Motion, n: Motion) -> Motion:
     """m after n."""
     return Motion(
         compose(m.orth, n.orth),
-        planar.vadd(m.orth.apply_vec(n.shift), m.shift),
+        apply_motion(m, n.shift),
     )
 
 
 def reflection_across_line(point, direction) -> Motion:
     """Reflection across the line through `point` with rational
     direction (units of pi)."""
-    orth = LinearMap.reflection(direction % 1)
-    return Motion(orth, planar.vsub(point, orth.apply_vec(point)))
+    orth = LinearMap("ref", direction % 1)
+    return Motion(orth, planar.vsub(point, apply_vec(orth, point)))
 
 
 def motion_by_reflections(P, word) -> Motion:
     """Each side index s reflects the current copy of P across the line
     of its side s."""
     verts = P.vertices()
-    cur = Motion(LinearMap.identity(), planar.ORIGIN)
+    cur = Motion(LinearMap("rot", 0), planar.ORIGIN)
     for s in word:
-        a = cur.apply(verts[s])
+        a = apply_motion(cur, verts[s])
         d = apply_angle(cur.orth, P.edges[s].direction.multiple)
         cur = compose_motions(reflection_across_line(a, d), cur)
     return cur

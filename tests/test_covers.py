@@ -29,10 +29,10 @@ from flatbilliards.polygons import (
     triangle_from_angles,
 )
 from flatbilliards.unfolding import unfold
-from reference import compose, motion_by_reflections
+from reference import apply_motion, apply_vec, compose, motion_by_reflections
 
 
-IDENTITY = Motion(LinearMap.identity(), planar.ORIGIN)
+IDENTITY = Motion(LinearMap("rot", 0), planar.ORIGIN)
 
 
 def square():
@@ -232,14 +232,14 @@ def test_rejects_coinciding_copies():
 
 def test_rejects_disconnected_union():
     sq = square()
-    far = Motion(LinearMap.identity(), (embed(5), embed(0)))
+    far = Motion(LinearMap("rot", 0), (embed(5), embed(0)))
     with pytest.raises(CoverError, match="disconnected"):
         verify_tiling(sq, [IDENTITY, far])
 
 
 def test_rejects_translation_as_adjacency():
     sq = square()
-    shifted = Motion(LinearMap.identity(), (embed(1), embed(0)))
+    shifted = Motion(LinearMap("rot", 0), (embed(1), embed(0)))
     with pytest.raises(CoverError, match="mirror"):
         verify_tiling(sq, [IDENTITY, shifted])
 
@@ -247,7 +247,7 @@ def test_rejects_translation_as_adjacency():
 def test_rejects_partial_side_sharing():
     sq = square()
     half_up = Motion(
-        LinearMap.reflection(F(1, 2)), (embed(2), embed(F(1, 2)))
+        LinearMap("ref", F(1, 2)), (embed(2), embed(F(1, 2)))
     )
     # a side shared in part is no shared side, so nothing joins the two
     with pytest.raises(CoverError, match="disconnected"):
@@ -256,7 +256,7 @@ def test_rejects_partial_side_sharing():
 
 def test_rejects_orthogonal_part_outside_group():
     sq = square()
-    bad = Motion(LinearMap.rotation(F(1, 3)), (embed(0), embed(0)))
+    bad = Motion(LinearMap("rot", F(1, 3)), (embed(0), embed(0)))
     with pytest.raises(CoverError, match="reflection group"):
         verify_tiling(sq, [IDENTITY, bad])
 
@@ -269,7 +269,7 @@ def _reference_pairwise_refusal(P, motions):
     """The pairwise side and vertex tests verify_tiling once ran: the
     message they refused with, or None."""
     k = len(P.edges)
-    copies = [[mo.apply(v) for v in P.vertices()] for mo in motions]
+    copies = [[apply_motion(mo, v) for v in P.vertices()] for mo in motions]
     sides = [
         (c, verts[s], verts[(s + 1) % k])
         for c, verts in enumerate(copies)
@@ -317,13 +317,15 @@ def _grown_words(P, rng, count):
 
 
 def _brute_symmetries(t):
+    """Indices of the group elements whose rotated or reflected copies
+    have the tiling's key: the moved-copy test tiling_symmetries once
+    ran on every element."""
     base = _config_key(t.copy_vertices)
     return [
-        g
-        for g in group_of(t.base).elements()
-        if _config_key(
-            [tuple(g.apply_vec(v) for v in verts) for verts in t.copy_vertices]
-        )
+        gi
+        for gi, g in enumerate(group_of(t.base).elements())
+        if _config_key([tuple(apply_vec(g, v) for v in verts)
+                        for verts in t.copy_vertices])
         == base
     ]
 
@@ -372,7 +374,7 @@ def test_check_cover_runs_no_pairwise_tests(tmp_path, monkeypatch, capsys):
     passing = [
         g
         for g in G[1:]
-        if _config_key([[g.apply_vec(p) for p in t.outline_points]])
+        if _config_key([[apply_vec(g, p) for p in t.outline_points]])
         == outline_key
     ]
     assert 0 < len(passing) < len(G) - 1
@@ -437,6 +439,18 @@ def _tilings():
             except CoverError:
                 pass
     return out
+
+
+def test_rechained_symmetries_match_the_moved_copies():
+    # tiling_symmetries places g's image of the tiling from P's rows,
+    # chained along the mirror pairs from copy 0, and rotates no
+    # vector; the reference rotates or reflects every copy's vertices
+    moved = 0
+    for t in _tilings():
+        got = tiling_symmetries(t)
+        assert got == _brute_symmetries(t)
+        moved += t.n_copies > 1 and len(got) > 1
+    assert moved >= 15
 
 
 def test_image_classes_read_from_the_corner_table():

@@ -377,8 +377,9 @@ def test_chart_values_are_stored_at_the_chart_conductor(
         chart = flow._Chart(M, th, n, set(), None)
         assert {x.n for vs in chart.verts for v in vs for x in v} == {n}
         assert {x.n for t in chart.tau.values() for x in t} == {n}
-        deltas = {(s.direction - th) % 1 for f in M.faces for s in f.sides}
-        assert {chart.cotangent(d).n for d in deltas - {0}} == {n}
+        lattice = {s.lattice for f in M.faces for s in f.sides
+                   if (s.direction - th) % 1}
+        assert {chart.cotangent(m).n for m in lattice} == {n}
     # the degree limit is tested on that same n
     M = unfold(make_entry("2", 5).polygon)
     n = cylinder_decomposition(M, F(1, 10)).n

@@ -18,7 +18,7 @@ from flatbilliards.polygons import (
     side_reflections,
     triangle_from_angles,
 )
-from reference import apply_angle, compose, inverse
+from reference import apply_angle, apply_motion, apply_vec, compose, inverse
 
 
 def square(side=1):
@@ -148,7 +148,7 @@ def test_dihedral_group_laws():
     elems = g.elements()
     assert len(elems) == 16
     assert sum(1 for e in elems if e.det == -1) == 8
-    ident = LinearMap.identity()
+    ident = LinearMap("rot", 0)
     for e in elems:
         assert compose(e, inverse(e)) == ident
         assert e in g
@@ -159,17 +159,17 @@ def test_dihedral_group_laws():
 
 
 def test_linear_map_action():
-    r = LinearMap.rotation(F(1, 2))
+    r = LinearMap("rot", F(1, 2))
     v = (cy.embed(1), cy.embed(0))
-    assert planar.veq(r.apply_vec(v), (cy.embed(0), cy.embed(1)))
-    f = LinearMap.reflection(F(1, 4))  # swap x and y
-    assert planar.veq(f.apply_vec(v), (cy.embed(0), cy.embed(1)))
+    assert planar.veq(apply_vec(r, v), (cy.embed(0), cy.embed(1)))
+    f = LinearMap("ref", F(1, 4))  # swap x and y
+    assert planar.veq(apply_vec(f, v), (cy.embed(0), cy.embed(1)))
     assert apply_angle(f, F(0)) == F(1, 2)
     # conjugation: g ref(b) g^-1 = ref(g(b))
-    g = LinearMap.rotation(F(2, 5))
-    b = LinearMap.reflection(F(1, 3))
+    g = LinearMap("rot", F(2, 5))
+    b = LinearMap("ref", F(1, 3))
     conj = compose(compose(g, b), inverse(g))
-    assert conj == LinearMap.reflection(apply_angle(g, F(1, 3)) % 1)
+    assert conj == LinearMap("ref", apply_angle(g, F(1, 3)) % 1)
 
 
 @pytest.mark.parametrize("N", range(1, 13))
@@ -193,15 +193,27 @@ def test_integer_direction_law(N):
             G.direction_index(base + F(1, 2 * N))
 
 
+def test_subgroup_test_reads_the_axis_offset():
+    # D_M with base axis b lies in D_N exactly when each of its elements
+    # does: against LinearMap membership, element by element
+    for N in range(1, 9):
+        big = DihedralGroup(N, F(1, 5 * N))
+        for M in range(1, 2 * N + 1):
+            for b in (F(0), F(1, 5 * N), F(1, 2 * N), F(6, 5 * N)):
+                small = DihedralGroup(M, b)
+                assert small.is_subgroup_of(big) == all(
+                    g in big for g in small.elements())
+
+
 def test_group_of_uses_edge_directions():
     t = triangle_from_angles(F(1, 2), F(1, 8), F(3, 8))
     g = group_of(t)
     assert g.N == 8
     for e in t.edges:
-        assert LinearMap.reflection(e.direction.multiple % 1) in g
+        assert LinearMap("ref", e.direction.multiple % 1) in g
     # the reflection across each side, read from its lattice index
     assert side_reflections(t, g) == [
-        g.index_of(LinearMap.reflection(e.direction.multiple % 1))
+        g.index_of(LinearMap("ref", e.direction.multiple % 1))
         for e in t.edges
     ]
 
@@ -210,16 +222,16 @@ def test_motion_reflection_across_line():
     # the unit square reflected across its side 2, the line y=1
     m = motion_from_word(square(), [2])
     p = (cy.embed(3), cy.embed(0))
-    assert planar.veq(m.apply(p), (cy.embed(3), cy.embed(2)))
+    assert planar.veq(apply_motion(m, p), (cy.embed(3), cy.embed(2)))
     # involution
-    assert planar.veq(m.apply(m.apply(p)), p)
+    assert planar.veq(apply_motion(m, apply_motion(m, p)), p)
 
 
 def test_reflection_preserves_polygon_shape():
     t = triangle_from_angles(F(1, 5), F(1, 3), F(7, 15))
     pts = t.vertices()
     m = motion_from_word(t, [0])  # across the line of side 0
-    image = [m.apply(p) for p in pts]
+    image = [apply_motion(m, p) for p in pts]
     # side lengths preserved as a multiset
     def side_lengths(ps):
         k = len(ps)

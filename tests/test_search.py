@@ -21,7 +21,7 @@ from flatbilliards.search import (
     search_appropriate,
 )
 from flatbilliards.unfolding import unfold
-from reference import apply_angle, compose
+from reference import apply_angle, apply_motion, compose
 
 
 def _searcher(family, n, max_copies):
@@ -222,7 +222,8 @@ def test_packed_vertex_keys_match_exact_positions(family, n):
         for c, w in zip(node_from_words(searcher, words).copies, words):
             motion = motion_from_word(e.polygon, w)
             packed += c.vkeys
-            exact += [vkey(motion.apply(v)) for v in e.polygon.vertices()]
+            exact += [vkey(apply_motion(motion, v))
+                      for v in e.polygon.vertices()]
         assert [packed.index(x) for x in packed] == [
             exact.index(x) for x in exact
         ]
@@ -602,7 +603,7 @@ def _refl_lin_by_composition(searcher):
     """Reflecting copy g across its side s, composed as linear maps:
     the reflection across the image of side s's direction, after g."""
     return [
-        [searcher.G.index_of(compose(LinearMap.reflection(
+        [searcher.G.index_of(compose(LinearMap("ref", 
             apply_angle(g, e.direction.multiple) % 1), g))
          for e in searcher.P.edges]
         for g in searcher.G.elements()

@@ -1,10 +1,13 @@
+import math
 from fractions import Fraction as F
 
 import pytest
 
-from flatbilliards import fileio, planar
+from flatbilliards import fileio, flow, planar, polygons
 from flatbilliards.catalog import make_entry
+from flatbilliards.cyclotomic import cos_pi, sin_pi, totient
 from flatbilliards.flow import cylinder_decomposition
+from flatbilliards.periodicity import default_directions
 from flatbilliards.polygons import (
     Edge,
     LinearMap,
@@ -13,7 +16,7 @@ from flatbilliards.polygons import (
 )
 from flatbilliards.search import _Search, _StatusOracle
 from flatbilliards.unfolding import unfold
-from reference import apply_angle, compose
+from reference import apply_angle, apply_vec, compose
 
 
 def square():
@@ -143,33 +146,39 @@ def test_area():
 
 def test_vertices_are_placed_once_on_first_read(monkeypatch):
     # the surface is its gluing: unfolding it, its genus and its cone
-    # points place no vertex.  The first reader of coordinates places
-    # each g.v once; a second direction, the surface dump and the
-    # search's vertex table place none
+    # points place no vertex.  P's own vertices are one walk over its
+    # edges' table.  Each direction walks its own chart and no face of
+    # the surface.  The first reader of coordinates walks each face g.P
+    # once; the surface dump and the search's vertex table then walk
+    # none
     e = make_entry("2", 5)
-    maps = []
-    apply_vec = LinearMap.apply_vec
+    tables = []
+    walk = polygons.walk
 
-    def counted(self, v):
-        maps.append(self)
-        return apply_vec(self, v)
+    def counted(sides, lengths, table, *origin):
+        tables.append(table)  # kept alive, so ids are not reused
+        return walk(sides, lengths, table, *origin)
 
-    monkeypatch.setattr(LinearMap, "apply_vec", counted)
+    monkeypatch.setattr(polygons, "walk", counted)
+    monkeypatch.setattr(flow, "walk", counted)
     M = unfold(e.polygon)
     M.genus()
     M.cone_points()
-    assert maps == []
-    group = set(M.group.elements())
-    thetas = (F(1, 10), F(3, 10))
-    charts = {LinearMap.rotation(-th) for th in thetas}
-    assert not charts & group
-    for th in thetas:
+    assert tables == []
+    e.polygon.vertices()
+    assert len(tables) == 1
+    faces = len(M.faces)
+    for th in (F(1, 10), F(3, 10)):
         assert cylinder_decomposition(M, th).cylinders
+    charts = {id(t) for t in tables[1:]}
+    assert len(charts) == 2 and len(tables) == 1 + 2 * faces
+    surface = M.group.unit_vectors()
+    assert id(surface) not in charts and tables[0] is not surface
+    assert len(M.vertices) == faces
     fileio.surface_to_json(M)
     _Search(e.polygon, _StatusOracle(M, e.facts), 6, max_nodes=200000)
-    assert all(g in group or g in charts for g in maps)
-    assert sum(g in group for g in maps) == len(M.faces) * M.k
-    assert sum(g in charts for g in maps) == 2 * len(M.faces) * M.k
+    assert sum(t is surface for t in tables) == faces
+    assert len(tables) == 1 + 3 * faces
 
 
 def test_pairing_and_action_read_the_group_law():
@@ -190,7 +199,7 @@ def test_pairing_and_action_read_the_group_law():
             g = M.faces[fi].gmap
             e = M.polygon.edges[M.faces[fi].sides[p].source]
             axis = apply_angle(g, e.direction.multiple) % 1
-            assert fj == G.index_of(compose(LinearMap.reflection(axis), g))
+            assert fj == G.index_of(compose(LinearMap("ref", axis), g))
         assert action == [
             [G.index_of(compose(g, f.gmap)) for f in M.faces]
             for g in G.elements()
@@ -221,3 +230,50 @@ def test_side_directions_read_the_integer_action():
                 assert table[side.lattice] == side.direction
                 checked += 1
     assert checked > 1000
+
+
+def test_walked_placements_match_the_rotated_reference():
+    # every exact vertex is a walk along P's sides: surface faces over
+    # the group's table, chart faces over that table turned by -theta.
+    # Against rotating and reflecting P's vertices (the reference): the
+    # same points, chart values stored identically at the chart
+    # conductor n, n read from the walk's inputs equal to the lcm the
+    # reference's coordinates and cotangents give, and paired sides
+    # cancelling, which the walk makes an identity.  The rectangle's
+    # width lies in no field the table's pairs span
+    width = cos_pi(F(1, 7))
+    rectangle = Polygon([Edge(F(0), width), Edge(F(1, 2), 1),
+                         Edge(F(1), width), Edge(F(3, 2), 1)])
+    charts = 0
+    for P in [make_entry(f, n).polygon for f, n in _CATALOG] + [rectangle]:
+        M = unfold(P)
+        base = M.polygon.vertices()
+        ref = [tuple(apply_vec(f.gmap, base[j]) for j in f.source_vertex)
+               for f in M.faces]
+        for got, want in zip(M.vertices, ref):
+            assert all(planar.veq(a, b) for a, b in zip(got, want))
+        k = M.k
+        for (fi, p), (fj, q) in M.pairing.items():
+            a, b = M.vertices[fi], M.vertices[fj]
+            assert planar.veq(planar.vadd(a[(p + 1) % k], b[(q + 1) % k]),
+                              planar.vadd(a[p], b[q]))
+        for th in default_directions(M) + [F(1, 6), F(1, 30)]:
+            turn = LinearMap("rot", -th)
+            want = [[apply_vec(turn, v) for v in vs] for vs in ref]
+            deltas = {(s.direction - th) % 1
+                      for f in M.faces for s in f.sides} - {0}
+            n = math.lcm(cos_pi(th).n, sin_pi(th).n,
+                         *(x.n for vs in ref for v in vs for x in v),
+                         *(c(d).n for d in deltas for c in (cos_pi, sin_pi)))
+            if totient(n) > flow.MAX_CHART_DEGREE:
+                with pytest.raises(flow.FlowError):
+                    flow._check_degree(M, th)
+                continue
+            assert flow._check_degree(M, th) == n
+            got = flow._Chart(M, th, n, set(), None).verts
+            assert [[[(x.n, x.num, x.den) for x in v] for v in vs]
+                    for vs in got] == [
+                [[(x.n, x.num, x.den) for x in map(lambda c: c.lift(n), v)]
+                 for v in vs] for vs in want]
+            charts += len(got)
+    assert charts > 7000
