@@ -151,10 +151,17 @@ def _turned(M: TranslationSurface, theta: Fraction) -> list:
 
 def _check_degree(M: TranslationSurface, theta: Fraction) -> int:
     """The chart conductor n for direction theta (see the module
-    docstring).  FlowError when phi(n) is above MAX_CHART_DEGREE."""
-    n = math.lcm(cos_pi(theta).n, sin_pi(theta).n,
-                 *(e.length.n for e in M.polygon.edges),
-                 *(x.n for pair in _turned(M, theta) for x in pair))
+    docstring), read from the angles: `cos_pi(q)` is stored at
+    conductor 2 den(q) and `sin_pi(q)` is cos_pi(1/2 - q), so no trig
+    value is built.  FlowError when phi(n) is above MAX_CHART_DEGREE."""
+    angles = [theta] + [d - theta for d in M.group.directions()[:M.N]]
+    n = math.lcm(*(e.length.n for e in M.polygon.edges),
+                 *(2 * q.denominator
+                   for a in angles for q in (a, Fraction(1, 2) - a)))
+    # phi(n) >= sqrt(n / 2): a larger n is refused before it is factored
+    if n > 2 * MAX_CHART_DEGREE ** 2:
+        raise FlowError(f"direction {theta}: chart conductor {n} of degree "
+                        f"above MAX_CHART_DEGREE ({MAX_CHART_DEGREE})")
     phi = totient(n)
     if phi > MAX_CHART_DEGREE:
         raise FlowError(f"direction {theta}: chart conductor {n} of degree "

@@ -8,11 +8,10 @@ cyclotomic field, so tilings that are congruent under a group element
 and a translation get the same key and each class is expanded once.
 The same exact translation gives every placed vertex a packed exact
 key, and these keys alone decide which vertices, sides and copies
-coincide and which translations map copies onto copies.  Floats serve
-only as a guide: the overlap test of two copies and the order in which
-the forced-move simulation tries boundary points (the polygons involved
-keep features far above the rounding scale).  Overlap depends only on
-the copies' exact relative placement, so the floats decide each
+coincide and which translations map copies onto copies.  Floats decide
+one thing only, whether two copies' interiors overlap (the polygons
+involved keep features far above the rounding scale).  Overlap depends
+only on the copies' exact relative placement, so the floats decide each
 distinct placement once per search and a table answers the rest.
 Angles and vertex classes stay exact, and any surviving candidate is
 re-verified with exact arithmetic before it is reported.
@@ -20,10 +19,10 @@ re-verified with exact arithmetic before it is reported.
 A child is its parent plus one copy, and each node is analysed once:
 its side and point tables are its parent's, copied, plus one
 `_Search.add_copy`, kept on its `_Node` until its expansion reads them.
-The forced-move replay grows a copy of the same tables, with one
-legality table that tests each move only against the copies appended
-since it was last read.  Float vertices are made only where read: the
-overlap table's misses and the forced order.
+The forced closure grows a copy of the same tables, with one legality
+table that tests each move only against the copies appended since it
+was last read.  Float vertices are made only where read: the overlap
+table's misses and each reflection's shift.
 
 Pruning rules are tagged and counted:
 
@@ -32,9 +31,10 @@ Pruning rules are tagged and counted:
 - sound subtree prunes (a corner angle that can no longer be completed,
   a geometrically locked even angle or locked branching over a
   periodic point, two locked branch points, a pinched gap);
-- the infinite-forcing heuristic: from a node whose completion is
-  forced, replay the forced moves and prune when the configuration
-  starts repeating itself under a translation;
+- the forced closure (`_Search.forced_prune`): add the copies that
+  every completion must hold, and prune when they need more than
+  max_copies copies, reach a point that must grow but cannot, or push a
+  corner count past every allowed one;
 - per-node rejections of completed tilings (even angle, unbranched,
   two branch points, periodic or unknown branch point).
 
@@ -55,8 +55,6 @@ from .polygons import side_reflections
 from .unfolding import unfold
 
 _EPS = 1e-7
-_ROUND = 10 ** 6
-_HORIZON = 24  # forced moves replayed by _Search.forced_sim
 
 
 @dataclass
@@ -84,11 +82,6 @@ def _pack(coeffs, width):
     for c in reversed(coeffs):
         out = (out << width) + c
     return out
-
-
-def _pkey(p):
-    """A float point rounded to a 1e-6 grid: the forced-move order."""
-    return (round(p[0] * _ROUND) + 0, round(p[1] * _ROUND) + 0)
 
 
 def _sat_disjoint(A, B):
@@ -132,11 +125,11 @@ class _Copy:
     Both are made on first read, so a child dropped as a congruent
     repeat, which reads only its anchors, never makes them.
 
-    The float guide is `shift`, t as floats, and `row`, the float
+    The float geometry is `shift`, t as floats, and `row`, the float
     positions g.v_j (the row FV[lin]).  A float vertex is made only
-    where it is read: `vert` for the forced-move order and the next
-    reflection, `verts` for the overlap tests of placements the
-    search's table has not met yet."""
+    where it is read: `vert` for the next reflection's shift, `verts`
+    for the overlap tests of placements the search's table has not met
+    yet."""
 
     __slots__ = ("lin", "row", "shift", "word", "anchors", "origin",
                  "_vkeys", "_vset")
@@ -258,9 +251,9 @@ class _Search:
         self.angles = [a.multiple for a in base_polygon.angles()]
         # sigma[t][kk]: the angle of kk corners of base vertex t.  A node
         # holds at most max_copies copies, and at most max_nodes + 1 (each
-        # proper prefix was expanded and counted); forced moves add at
-        # most _HORIZON.
-        longest = min(max_copies, max_nodes + 1) + _HORIZON
+        # proper prefix was expanded and counted); its forced closure
+        # stops at the same bound.
+        self.longest = longest = min(max_copies, max_nodes + 1)
         self.sigma = [[kk * a for kk in range(longest + 1)]
                       for a in self.angles]
         self.M = statuses.M
@@ -300,7 +293,7 @@ class _Search:
         E[g_i.g][s] - E[g_i.g'][s].
 
         Digit bound.  Let B = max|E| over all coefficients.  A node,
-        forced moves included, holds at most `longest_word` copies, and
+        and its forced closure, holds at most `longest_word` copies, and
         each move appends one letter to the word of an existing copy,
         so a word has at most longest_word - 1 letters.  Each letter
         moves every coefficient of t, and of each g_i.t, by at most 2B,
@@ -563,106 +556,70 @@ class _Search:
             return "locked two branch points"
         return None
 
-    # -- forced-completion simulation (infinite-forcing heuristic) -----------
+    # -- forced closure ------------------------------------------------------
 
-    def worth_simulating(self, an):
-        """Run the forced simulation only from nodes with a reflex
-        outline vertex plus at least one corner that must still grow."""
-        reflex = any(
-            rec["sigma"] is not None
-            and rec["sigma"] > 1
-            and rec["sigma"] != 2
-            for rec in an.boundary.values()
-        )
-        if not reflex:
-            return False
-        return any(
-            rec["label"] is not None
-            and len(rec["corners"]) not in self.ok_counts[rec["label"]]
-            for rec in an.boundary.values()
-        )
+    def forced_prune(self, an):
+        """A tag when the copies that every completion of a node must
+        hold already rule it out, else None.  `an`, the node's analysis,
+        is left as it is: the closure grows a copy of it by `add_copy`,
+        with one legality table (`grown_child`) checked only against
+        newer copies.
 
-    def forced_sim(self, an):
-        """Replay forced moves from a node's analysis `an`; True when
-        the configuration repeats itself under a translation (an
-        infinite forced strip).
+        A boundary point whose corner count is not in `ok_counts` must
+        gain a corner.  In a completed tiling (every point labelled, the
+        corners at each point one fan glued side to side) one new corner
+        there sits across an old corner's external side, so it is the
+        reflection across that side, and that reflection is legal now.
+        When the point's legal moves place one copy (two sides of a gap
+        one corner wide place the same one), every completion holds that
+        copy.  Adding copies only removes legal moves, so each round
+        adds every copy forced at its start, and the result depends on
+        the set of copies alone, not on the order of points or sides.
 
-        The replay grows a copy of `an` (which it leaves as it is) by
-        `add_copy` and keeps one legality table (`grown_child`), checked
-        only against newer copies.
-
-        Boundary points are tried in the order of the float position of
-        their first corner, rounded to a 1e-6 grid, and moves in the
-        order of copy indices.  A point's first corner never changes,
-        so its position is read once per replay and the order of the
-        points already met stays the same from move to move.  This
-        order is a heuristic choice, not an identity test: which points
-        coincide is decided by the exact vertex keys.  Congruent nodes
-        can replay different moves, and whether the prune fires can
-        depend on which representative of a class the search keeps."""
-        an = an.copy()
-        copies = an.copies
+        Tags: "forced past the copy bound" when the closure needs more
+        than max_copies copies; "forced dead end" when a point that must
+        grow has no legal move, or two forced copies block each other;
+        "forced angle overflow" when a count goes above `max_count`.
+        The closure stops at `longest` copies and, when the node budget
+        set that bound, returns None there: the budget ends the search
+        first."""
         legal = {}
-        positions = {}
-
-        def position(item):
-            key, rec = item
-            p = positions.get(key)
-            if p is None:
-                ci, v = rec["corners"][0]
-                p = positions[key] = _pkey(copies[ci].vert(v))
-            return p
-
-        for grown in range(1, _HORIZON + 1):
-            move = None
-            boundary = [item for item in an.points.items() if item[1]["ext"]]
-            for _, rec in sorted(boundary, key=position):
-                if rec["label"] is None:
+        grown = an
+        while True:
+            forced, dead = {}, False
+            for rec in grown.points.values():
+                t = rec["label"]
+                if not rec["ext"] or t is None:
                     continue
                 kk = len(rec["corners"])
-                t = rec["label"]
                 if kk > self.max_count[t]:
-                    return False
+                    return "forced angle overflow"
                 if kk in self.ok_counts[t]:
                     continue
-                moves = sorted(
-                    (ci, s)
-                    for ci, s in rec["ext"]
-                    if self.grown_child(legal, copies, ci, s) is not None
-                )
+                moves = {}
+                for ci, s in rec["ext"]:
+                    new = self.grown_child(legal, grown.copies, ci, s)
+                    if new is not None:
+                        moves[new.lin, new.anchors[0]] = (ci, s)
                 if not moves:
-                    return False
-                if len(moves) <= 2:
-                    move = moves[0]
-                    break
-            if move is None:
-                return False
-            self.add_copy(an, legal[move][0])
-            if grown >= 4 and self._translation_recurrence(copies):
-                return True
-        return False
-
-    def _translation_recurrence(self, copies):
-        """Does some translation map at least four copies onto copies?
-
-        Copies with the same linear part coincide exactly when their
-        translations t do, so this counts the exact differences
-        t_k - t_c over ordered pairs of such copies.  A difference of
-        two anchors stays within the digit bound of `_anchor_deltas`;
-        an anchor shifted by a difference, t_c + d, need not."""
-        by_lin = {}
-        for c in copies:
-            by_lin.setdefault(c.lin, []).append(c.anchors[0])
-        hits = {}
-        for ts in by_lin.values():
-            for tc in ts:
-                for tk in ts:
-                    if tk != tc:
-                        d = tk - tc
-                        hits[d] = hits.get(d, 0) + 1
-                        if hits[d] >= 4:
-                            return True
-        return False
+                    dead = True
+                elif len(moves) == 1:
+                    forced.update(moves)
+            if dead:
+                return "forced dead end"
+            if not forced:
+                return None
+            if len(grown.copies) + len(forced) > self.longest:
+                if self.longest == self.max_copies:
+                    return "forced past the copy bound"
+                return None
+            if grown is an:
+                grown = an.copy()
+            for ci, s in forced.values():
+                new = self.grown_child(legal, grown.copies, ci, s)
+                if new is None:
+                    return "forced dead end"
+                self.add_copy(grown, new)
 
     # -- candidate evaluation -------------------------------------------------
 
@@ -834,13 +791,10 @@ def _run_enumeration(searcher: _Search, report: SearchReport, want: str,
                 seen.add(child.key)
                 child.an = searcher.child_analysis(an, new)
                 prune = searcher.subtree_prune(child, child.an)
+                if prune is None:
+                    prune = searcher.forced_prune(child.an)
                 if prune is not None:
                     _tag(report, prune, child)
-                    continue
-                if searcher.worth_simulating(child.an) and searcher.forced_sim(
-                    child.an
-                ):
-                    _tag(report, "infinite forcing", child)
                     continue
                 next_frontier.append(child)
         frontier = next_frontier

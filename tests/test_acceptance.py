@@ -279,13 +279,13 @@ def test_criterion_5_search_suite():
             terminal = True
     assert terminal
 
-    # acute scalene (pi/4, pi/3, 5pi/12), K = 10: the forced ladder is
-    # recognized and pruned with the infinite-forcing tag
+    # acute scalene (pi/4, pi/3, 5pi/12), K = 10: lines of expansion
+    # whose forced moves need more than ten copies are pruned
     t0 = time.time()
     r = search_appropriate(make_entry("5a"), 10)
     assert time.time() - t0 < 60
     assert r.outcome == "none_found" and not r.candidates
-    assert r.statistics.get("infinite forcing", 0) > 0
+    assert r.statistics.get("forced past the copy bound", 0) > 0
     _report(5, "bounded cover search, each case <= 60 s")
 
 

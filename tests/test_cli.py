@@ -194,12 +194,18 @@ _BIG = 10**30
         ["cylinders", "--family", "2", "--n", "5",
          "--direction", f"1/{_BIG + 1}"],
         ["analyze", "--in", "EDGES"],
+        ["cylinders", "--family", "2", "--n", "5",
+         "--direction", f"1/{2 ** 89 - 1}"],
     ],
 )
 def test_conductor_above_max_degree_is_refused(tmp_path, capsys, argv):
-    # a 31-digit denominator, and an edge direction of 1/10007 (a
-    # conductor of degree 10006): each is refused before its reduction
-    # data is built
+    # a 31-digit denominator, a 27-digit prime one (which factoring by
+    # trial division would never finish), and an edge direction of
+    # 1/10007 (a conductor of degree 10006): each is refused before its
+    # reduction data is built, a flow direction by the chart limit
+    error, limit = "ExactError", "MAX_DEGREE"
+    if "--direction" in argv:
+        error, limit = "FlowError", "MAX_CHART_DEGREE"
     if argv[-1] == "EDGES":
         path = tmp_path / "edges.json"
         path.write_text(json.dumps({"edges": [
@@ -210,8 +216,8 @@ def test_conductor_above_max_degree_is_refused(tmp_path, capsys, argv):
     code, doc, err = run(capsys, *argv)
     assert time.perf_counter() - t0 < 1
     assert code == 1 and doc is None
-    assert err["error"] == "ExactError"
-    assert "MAX_DEGREE" in err["message"]
+    assert err["error"] == error
+    assert limit in err["message"]
 
 
 def test_triangle_at_the_max_degree_is_analyzed(capsys):

@@ -386,3 +386,31 @@ def test_chart_values_are_stored_at_the_chart_conductor(
     monkeypatch.setattr(flow, "MAX_CHART_DEGREE", cy.totient(n) - 1)
     with pytest.raises(FlowError, match=f"chart conductor {n} "):
         cylinder_decomposition(M, F(1, 10))
+
+
+@pytest.mark.parametrize("angles,theta", [
+    ((F(1, 2), F(1, 5), F(3, 10)), F(1, 97)),
+    ((F(1, 2), F(1, 998), F(249, 499)), F(1, 30)),
+    ((F(1, 2), F(1, 998), F(249, 499)), F(0)),
+])
+def test_a_refused_chart_builds_no_trig_value(monkeypatch, angles, theta):
+    # the chart conductor is read from the angles' denominators, so a
+    # direction whose chart is too large is refused with the flow's
+    # message before any cos or sin is built (at 1/30 the 1/998
+    # triangle's turned table holds values past cyclotomic.MAX_DEGREE,
+    # which were once built first and refused as an ExactError)
+    M = unfold(triangle_from_angles(*angles))
+    built = []
+
+    def counting(real):
+        def trig(q):
+            built.append(q)
+            return real(q)
+        return trig
+
+    for mod in (cy, flow):
+        for name in ("cos_pi", "sin_pi"):
+            monkeypatch.setattr(mod, name, counting(getattr(mod, name)))
+    with pytest.raises(FlowError, match="MAX_CHART_DEGREE"):
+        cylinder_decomposition(M, theta)
+    assert built == []
