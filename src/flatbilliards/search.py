@@ -8,21 +8,18 @@ cyclotomic field, so tilings that are congruent under a group element
 and a translation get the same key and each class is expanded once.
 The same exact translation gives every placed vertex a packed exact
 key, and these keys alone decide which vertices, sides and copies
-coincide and which translations map copies onto copies.  Floats decide
-one thing only, whether two copies' interiors overlap (the polygons
-involved keep features far above the rounding scale).  Overlap depends
-only on the copies' exact relative placement, so the floats decide each
-distinct placement once per search and a table answers the rest.
-Angles and vertex classes stay exact, and any surviving candidate is
-re-verified with exact arithmetic before it is reported.
+coincide and which translations map copies onto copies.  Two copies'
+interiors overlap exactly when their relative placement (h, d) puts d
+inside the convex polygon D_h = P - h.P, decided by exact signs once
+per placement, and a table answers the rest.  Every decision is exact,
+and a surviving candidate is re-verified by the tiling code.
 
 A child is its parent plus one copy, and each node is analysed once:
 its side and point tables are its parent's, copied, plus one
 `_Search.add_copy`, kept on its `_Node` until its expansion reads them.
-The forced closure grows a copy of the same tables, with one legality
-table that tests each move only against the copies appended since it
-was last read.  Float vertices are made only where read: the overlap
-table's misses and each reflection's shift.
+The forced closure grows a copy of the same tables, with a legality
+table that starts from a copy of the node's and tests each move only
+against the copies appended since it was last read.
 
 Pruning rules are tagged and counted:
 
@@ -47,15 +44,14 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate, repeat
 
 from .catalog import CatalogEntry
 from .covers import analyze_cover, appropriate_verdict, tile_by_words
+from .cyclotomic import CyclotomicReal
 from .periodicity import classify_point, default_directions
-from .polygons import side_reflections
+from .polygons import edge_directions, side_reflections
 from .unfolding import unfold
-
-_EPS = 1e-7
-
 
 @dataclass
 class SearchReport:
@@ -71,7 +67,7 @@ class SearchReport:
 
 
 # ---------------------------------------------------------------------------
-# exact anchors and float geometry helpers
+# packed integer vectors
 
 
 def _pack(coeffs, width):
@@ -84,32 +80,14 @@ def _pack(coeffs, width):
     return out
 
 
-def _sat_disjoint(A, B):
-    """Do two convex polygons have disjoint interiors (touching allowed)?"""
-    for poly1, poly2 in ((A, B), (B, A)):
-        m = len(poly1)
-        for i in range(m):
-            x1, y1 = poly1[i]
-            x2, y2 = poly1[(i + 1) % m]
-            nx, ny = y1 - y2, x2 - x1
-            lo1 = hi1 = poly1[0][0] * nx + poly1[0][1] * ny
-            for p in poly1:
-                v = p[0] * nx + p[1] * ny
-                if v < lo1:
-                    lo1 = v
-                elif v > hi1:
-                    hi1 = v
-            lo2 = hi2 = poly2[0][0] * nx + poly2[0][1] * ny
-            for p in poly2:
-                v = p[0] * nx + p[1] * ny
-                if v < lo2:
-                    lo2 = v
-                elif v > hi2:
-                    hi2 = v
-            scale = max(abs(lo1), abs(hi1), abs(lo2), abs(hi2), 1.0)
-            if hi1 <= lo2 + _EPS * scale or hi2 <= lo1 + _EPS * scale:
-                return True
-    return False
+def _unpack(v, width):
+    """`_pack` reversed, up to the last nonzero digit: exact when every
+    coefficient lies below 2**(width - 1) in absolute value."""
+    half, out = 1 << (width - 1), []
+    while v:
+        out.append((v + half) % (2 * half) - half)
+        v = (v - out[-1]) >> width
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -120,29 +98,20 @@ class _Copy:
     """The base placed by the motion x -> g.x + t, where g is group
     element `lin`.  anchors[i] is the packed exact vector g_i.t; group
     element 0 is the identity, so anchors[0] is t itself.  vkeys[j] is
-    the packed exact position g.v_j + t of base vertex j, and `vset`
-    the set of them: these decide which vertices and copies coincide.
-    Both are made on first read, so a child dropped as a congruent
-    repeat, which reads only its anchors, never makes them.
+    the packed exact position g.v_j + t of base vertex j: these decide
+    which vertices coincide.  They are made on first read, so a child
+    dropped as a congruent repeat, which reads only its anchors, never
+    makes them."""
 
-    The float geometry is `shift`, t as floats, and `row`, the float
-    positions g.v_j (the row FV[lin]).  A float vertex is made only
-    where it is read: `vert` for the next reflection's shift, `verts`
-    for the overlap tests of placements the search's table has not met
-    yet."""
+    __slots__ = ("lin", "word", "anchors", "origin", "_vkeys")
 
-    __slots__ = ("lin", "row", "shift", "word", "anchors", "origin",
-                 "_vkeys", "_vset")
-
-    def __init__(self, lin, row, shift, word, anchors, origin):
+    def __init__(self, lin, word, anchors, origin):
         """`origin` is the row E[lin] of packed vertex positions g.v_j."""
         self.lin = lin
-        self.row = row
-        self.shift = shift
         self.word = word
         self.anchors = anchors
         self.origin = origin
-        self._vkeys = self._vset = None
+        self._vkeys = None
 
     @property
     def vkeys(self):
@@ -150,23 +119,6 @@ class _Copy:
             t = self.anchors[0]
             self._vkeys = tuple(e + t for e in self.origin)
         return self._vkeys
-
-    @property
-    def vset(self):
-        if self._vset is None:
-            self._vset = frozenset(self.vkeys)
-        return self._vset
-
-    def vert(self, j):
-        """Float vertex g.v_j + t."""
-        (x, y), (tx, ty) = self.row[j], self.shift
-        return (x + tx, y + ty)
-
-    @property
-    def verts(self):
-        """All k float vertices, built on each read."""
-        tx, ty = self.shift
-        return tuple((x + tx, y + ty) for x, y in self.row)
 
 
 class _Node:
@@ -272,38 +224,38 @@ class _Search:
         # g.r_s, r_s the reflection across base side s
         r = side_reflections(base_polygon, self.G)
         self.refl_lin = [[row[rs] for rs in r] for row in self.mult]
-        self.E, self.fverts, self.deltas = self._anchor_deltas(longest)
-        # (h, d) -> whether a copy blocks one placed at h.x + d in its
-        # frame; see `blocks`
-        self.overlap = {}
+        self.E, self.deltas = self._anchor_deltas(longest)
+        # D_h by h and cross(u_m, .) by m, made on first use, and (h, d)
+        # -> whether a copy blocks h.x + d in its frame (`blocks`)
+        self.regions, self.crosses, self.overlap = {}, {}, {}
         self._admissible_q()
         self.convex_base = all(a < 1 for a in self.angles)
 
     def _anchor_deltas(self, longest_word):
-        """Vertex tables E and FV, and the anchor deltas.
+        """Vertex table E and the anchor deltas.
 
         E[h][j] is the exact position h.v_j of base vertex j under group
         element h, read from P's row h (`Polygon.row`), packed: both
-        coordinates in the power basis of one cyclotomic field over one
-        common denominator.  FV[h][j] is the same point as floats.
+        coordinates in the power basis of Q(zeta_`field`) over one
+        common denominator, `digits` base-2**`width` digits in all.
         deltas[g][s][i] is what reflecting a copy with linear part g
         across its side s adds to the anchor g_i.t: the motion g.x + t
         becomes g'.x + t' with g' = refl_lin[g][s] and
-        t' = t + g.v_s - g'.v_s, so g_i.t gains
-        E[g_i.g][s] - E[g_i.g'][s].
+        t' = t + g.v_s - g'.v_s, so g_i.t gains E[g_i.g][s] - E[g_i.g'][s].
 
         Digit bound.  Let B = max|E| over all coefficients.  A node,
         and its forced closure, holds at most `longest_word` copies, and
         each move appends one letter to the word of an existing copy,
-        so a word has at most longest_word - 1 letters.  Each letter
-        moves every coefficient of t, and of each g_i.t, by at most 2B,
-        so |t| <= 2(longest_word - 1)B.  Two vertex keys E[g][j] + t
-        then differ by at most (4 longest_word - 2)B per coefficient,
-        and two anchors by at most 4(longest_word - 1)B.  Both stay
-        below 4 longest_word B < 2**(width - 1), so two packed keys or
-        anchors are equal exactly when their vectors are."""
+        so a word has at most longest_word - 1 letters, and a copy
+        tested for legality at most longest_word.  Each letter moves
+        every coefficient of t, and of each g_i.t, by at most 2B.  So
+        two vertex keys E[g][j] + t, or two anchors, differ by at most
+        (4 longest_word - 2)B per coefficient, and the overlap test's
+        d - w, d such an anchor difference and w = E[0][a] - E[h][b], by
+        at most 4 longest_word B < 2**(width - 1): packed keys and
+        anchors are equal exactly when their vectors are, and unpacking
+        them, and the side values sized from this bound, is exact."""
         points = [self.P.row(h) for h in range(2 * self.N)]
-        FV = [[(float(x), float(y)) for x, y in row] for row in points]
         n = math.lcm(*(c.n for row in points for p in row for c in p))
         points = [[[c.lift(n) for c in p] for p in row] for row in points]
         den = math.lcm(*(c.den for row in points for p in row for c in p))
@@ -312,7 +264,10 @@ class _Search:
             for row in points
         ]
         bound = max(abs(x) for row in vecs for v in row for x in v)
-        width = (4 * longest_word * bound).bit_length() + 1
+        self.field, self.digits = n, len(vecs[0][0])
+        self.side_field = math.lcm(n, *(x.n for u in self.G.unit_vectors()
+                                        for x in u))
+        self.width = width = (4 * longest_word * bound).bit_length() + 1
         E = [[_pack(v, width) for v in row] for row in vecs]
         mult = self.mult
         deltas = [
@@ -325,7 +280,54 @@ class _Search:
             ]
             for g in range(2 * self.N)
         ]
-        return E, FV, deltas
+        return E, deltas
+
+    def _region(self, h):
+        """The sides (w, m) of D_h = P - h.P, each as (cols, c, width):
+        `_cross(m)`'s columns and width, and c, the packed image of w.
+
+        The search enumerates convex bases only, so D_h is convex: its
+        sides are P's and -h.P's in the order of their lattice indices,
+        parallel ones joined, and the side at index m starts at
+        v_a - h.v_b, a and b the first vertices of the first sides of P
+        and of -h.P at or after m.  A rotation h turns P's side j,
+        vertex j to j + 1, to index act(h, m_j) + N; a reflection
+        reverses it, vertex j + 1 to j, at index act(h, m_j)."""
+        G, N, k = self.G, self.N, self.k
+        ps = [(m, j) for j, m in enumerate(edge_directions(self.P, G))]
+        qs = [((G.act_on_direction(h, m) + N) % (2 * N), j) if h < N
+              else (G.act_on_direction(h, m), (j + 1) % k) for m, j in ps]
+        sides = []
+        for m in sorted({q for q, _ in ps + qs}):
+            cols, width = self._cross(m % N)
+            if m >= N:  # u_(m+N) = -u_m
+                cols = [-x for x in cols]
+            a, b = (min(t, key=lambda q: (q[0] - m) % (2 * N))[1]
+                    for t in (ps, qs))
+            w = _unpack(self.E[0][a] - self.E[h][b], self.width)
+            sides.append((cols, sum(map(operator.mul, w, cols)), width))
+        return sides
+
+    def _cross(self, m):
+        """cross(u_m, .) up to a positive factor, an integer map from
+        the digits of a packed vector into Q(zeta_`side_field`): cols[i]
+        is the image of digit i, packed with base 2**width.  An image of
+        d - w has coefficients below 2**(self.width - 1) S
+        (`_anchor_deltas`), S the map's largest row sum, so width =
+        self.width + bit_length(S) unpacks it exactly."""
+        if m not in self.crosses:
+            cos, sin = self.G.unit_vectors()[m]
+            zeta = CyclotomicReal(self.field, [0, 1], 1, _trusted=True)
+            # the digits are the coefficients of zeta**i in x, then in y
+            col = [x.lift(self.side_field) for c in (-sin, cos)
+                   for x in accumulate(repeat(zeta, self.digits // 2 - 1),
+                                       operator.mul, initial=c)]
+            den = math.lcm(*(x.den for x in col))
+            col = [[a * (den // x.den) for a in x.num] for x in col]
+            S = max(sum(map(abs, row)) for row in zip(*col))
+            width = self.width + S.bit_length()
+            self.crosses[m] = [_pack(x, width) for x in col], width
+        return self.crosses[m]
 
     # -- admissible reflection subgroups ----------------------------------
 
@@ -384,8 +386,9 @@ class _Search:
 
         Only g_i = inv[c.lin] for a copy c can give the least key: a
         sorted key starts with its least label mult[g_i][c.lin], and
-        that label is 0, the least of all, exactly when g_i inverts some
-        copy's group element.  So at most len(copies) g_i are tried."""
+        that label is 0, the least of all, exactly when g_i is the
+        inverse of some copy's group element.  So at most len(copies)
+        g_i are tried."""
         best = None
         for gi in {self.inv[c.lin] for c in copies}:
             row = self.mult[gi]
@@ -466,15 +469,10 @@ class _Search:
 
     def reflect_copy(self, c, s):
         """Copy c reflected across its side s: the motion g.x + t
-        becomes g'.x + t' with t' = t + g.v_s - g'.v_s, exactly in the
-        anchors and as floats in the shift (g.v_s + t is the float
-        vertex s, which the reflection fixes)."""
+        becomes g'.x + t' with t' = t + g.v_s - g'.v_s."""
         lin = self.refl_lin[c.lin][s]
-        row = self.fverts[lin]
-        (x, y), (fx, fy) = c.vert(s), row[s]
         anchors = tuple(map(operator.add, c.anchors, self.deltas[c.lin][s]))
-        return _Copy(lin, row, (x - fx, y - fy), c.word + (s,), anchors,
-                     self.E[lin])
+        return _Copy(lin, c.word + (s,), anchors, self.E[lin])
 
     def legal_child(self, node, ci, s):
         """The reflected copy if placing it keeps interiors disjoint
@@ -498,21 +496,30 @@ class _Search:
         return entry[0]
 
     def blocks(self, c, new):
-        """Does copy c block the new copy: the same vertices, or
-        interiors that overlap?  In c's frame, where c is the base
-        itself, the new copy sits at x -> h.x + d with h = g_c^-1.g' and
-        d = g_c^-1.(t' - t), a difference of two anchors and so one
-        packed int.  The answer depends on (h, d) alone, so the float
-        test runs once per relative placement and the overlap table
-        keeps it."""
+        """Does copy c block the new copy: do their interiors overlap?
+        In c's frame, where c is the base itself, the new copy sits at
+        x -> h.x + d with h = g_c^-1.g' and d = g_c^-1.(t' - t), a
+        difference of two anchors and so one packed int.  They overlap
+        exactly when d is inside D_h, every side value positive (a
+        coinciding copy's d is inside, a shared side gives 0), so the
+        overlap table decides each relative placement once."""
         i = self.inv[c.lin]
         key = (self.mult[i][new.lin], new.anchors[i] - c.anchors[i])
         hit = self.overlap.get(key)
         if hit is None:
-            hit = self.overlap[key] = (
-                c.vset == new.vset or not _sat_disjoint(new.verts, c.verts)
-            )
+            hit = self.overlap[key] = all(
+                v.sign() > 0 for v in self.side_values(*key))
         return hit
+
+    def side_values(self, h, d):
+        """cross(u_m, d - w), times a positive factor, for each side
+        (w, m) of D_h in turn (see `_region`)."""
+        if h not in self.regions:
+            self.regions[h] = self._region(h)
+        digits = _unpack(d, self.width)
+        for cols, c, width in self.regions[h]:
+            v = _unpack(sum(map(operator.mul, digits, cols)) - c, width)
+            yield CyclotomicReal(self.side_field, v, 1, _trusted=True)
 
     # -- subtree rules -------------------------------------------------------
 
@@ -534,11 +541,8 @@ class _Search:
                 continue
             if kk in self.ok_counts[t] and not self.is_branching(rec):
                 continue
-            locked = all(
-                self.legal_child(node, ci, s) is None
-                for ci, s in rec["ext"]
-            )
-            if not locked:
+            if any(self.legal_child(node, ci, s) is not None
+                   for ci, s in rec["ext"]):
                 continue
             sigma = rec["sigma"]
             if sigma in (1, 2):
@@ -558,12 +562,12 @@ class _Search:
 
     # -- forced closure ------------------------------------------------------
 
-    def forced_prune(self, an):
+    def forced_prune(self, node, an):
         """A tag when the copies that every completion of a node must
         hold already rule it out, else None.  `an`, the node's analysis,
         is left as it is: the closure grows a copy of it by `add_copy`,
         with one legality table (`grown_child`) checked only against
-        newer copies.
+        newer copies, that starts from a copy of each node.legal entry.
 
         A boundary point whose corner count is not in `ok_counts` must
         gain a corner.  In a completed tiling (every point labelled, the
@@ -583,7 +587,7 @@ class _Search:
         The closure stops at `longest` copies and, when the node budget
         set that bound, returns None there: the budget ends the search
         first."""
-        legal = {}
+        legal = {key: list(entry) for key, entry in node.legal.items()}
         grown = an
         while True:
             forced, dead = {}, False
@@ -636,10 +640,7 @@ class _Search:
             denoms.add(sigma.denominator)
             if self.is_branching(rec):
                 branch.add(self.branch_class(node, rec))
-        n_q = 1
-        for d in denoms:
-            n_q = n_q * d // math.gcd(n_q, d)
-        if n_q % 2 == 0:
+        if math.lcm(*denoms) % 2 == 0:
             return "even angle"
         if not branch:
             return "unbranched (lattice)"
@@ -665,8 +666,7 @@ _KEEP_TAGS = {
 
 
 def _root_copy(searcher: _Search) -> _Copy:
-    return _Copy(0, searcher.fverts[0], (0.0, 0.0), (),
-                 (0,) * (2 * searcher.N), searcher.E[0])
+    return _Copy(0, (), (0,) * (2 * searcher.N), searcher.E[0])
 
 
 def node_from_words(searcher: _Search, words) -> _Node:
@@ -792,7 +792,7 @@ def _run_enumeration(searcher: _Search, report: SearchReport, want: str,
                 child.an = searcher.child_analysis(an, new)
                 prune = searcher.subtree_prune(child, child.an)
                 if prune is None:
-                    prune = searcher.forced_prune(child.an)
+                    prune = searcher.forced_prune(child, child.an)
                 if prune is not None:
                     _tag(report, prune, child)
                     continue
@@ -802,7 +802,7 @@ def _run_enumeration(searcher: _Search, report: SearchReport, want: str,
 
 
 def _confirm_candidate(searcher, report, node) -> str:
-    """Exact re-verification of a float-level candidate."""
+    """Exact re-verification of a candidate by the tiling code."""
     words = [list(c.word) for c in node.copies]
     try:
         t = tile_by_words(searcher.P, words)

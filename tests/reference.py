@@ -1,11 +1,13 @@
 """Reference constructions for differential tests.
 
 The program reads D_N's products from group indices, moves lattice
-directions by D_N's integer action, chains copies by the group law and
-places vertices by walking along P's sides.  The references here
-compose linear maps, move directions by their angle formulas, rotate
-and reflect vectors, and chain a word's copies as reflections across
-lines, the way the program once did, so tests can compare the two.
+directions by D_N's integer action, chains copies by the group law,
+places vertices by walking along P's sides and decides whether two
+copies overlap by the sign of integer maps on packed coordinates.  The
+references here compose linear maps, move directions by their angle
+formulas, rotate and reflect vectors, chain a word's copies as
+reflections across lines and separate convex polygons by their sides,
+the way the program once did, so tests can compare the two.
 """
 
 from fractions import Fraction
@@ -82,3 +84,34 @@ def motion_by_reflections(P, word) -> Motion:
         d = apply_angle(cur.orth, P.edges[s].direction.multiple)
         cur = compose_motions(reflection_across_line(a, d), cur)
     return cur
+
+
+def sat_disjoint(A, B, eps=1e-7):
+    """Do two convex polygons, given by float vertices, have disjoint
+    interiors (touching allowed)?  The separating-axis test over the
+    sides' normals, with a relative tolerance eps."""
+    for poly1, poly2 in ((A, B), (B, A)):
+        m = len(poly1)
+        for i in range(m):
+            x1, y1 = poly1[i]
+            x2, y2 = poly1[(i + 1) % m]
+            nx, ny = y1 - y2, x2 - x1
+            s1 = [p[0] * nx + p[1] * ny for p in poly1]
+            s2 = [p[0] * nx + p[1] * ny for p in poly2]
+            lo1, hi1, lo2, hi2 = min(s1), max(s1), min(s2), max(s2)
+            scale = max(abs(lo1), abs(hi1), abs(lo2), abs(hi2), 1.0)
+            if hi1 <= lo2 + eps * scale or hi2 <= lo1 + eps * scale:
+                return True
+    return False
+
+
+def exact_disjoint(A, B):
+    """The same question for exact vertices, with no tolerance: convex
+    polygons have disjoint interiors exactly when one of them has a
+    side whose line leaves the other polygon on its outer side."""
+    for poly, other in ((A, B), (B, A)):
+        turn = planar.orient(*poly[:3])
+        for p, q in zip(poly, poly[1:] + poly[:1]):
+            if all(planar.orient(p, q, x) * turn <= 0 for x in other):
+                return True
+    return False

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -8,21 +9,23 @@ from flatbilliards import periodicity
 from flatbilliards.catalog import make_entry
 from flatbilliards.covers import analyze_cover, motion_from_word, tile_by_words
 from flatbilliards.periodicity import classify_point, default_directions
+from flatbilliards import planar
+from flatbilliards.cyclotomic import CyclotomicReal, cos_pi
 from flatbilliards.planar import vkey
-from flatbilliards.polygons import DihedralGroup, LinearMap
+from flatbilliards.polygons import DihedralGroup, Edge, LinearMap, Polygon
 from flatbilliards.search import (
     SearchReport,
     _Node,
     _root_copy,
     _run_enumeration,
-    _sat_disjoint,
     _Search,
     _StatusOracle,
     node_from_words,
     search_appropriate,
 )
 from flatbilliards.unfolding import unfold
-from reference import apply_angle, apply_motion, compose
+from reference import (apply_angle, apply_motion, compose, exact_disjoint,
+                       motion_by_reflections, sat_disjoint)
 
 
 def _searcher(family, n, max_copies):
@@ -185,8 +188,6 @@ def test_congruent_tilings_share_one_key():
     searcher = _searcher("2", 5, 8)
     a = node_from_words(searcher, [(), (1,), (1, 0)])
     b = node_from_words(searcher, [(), (1,), (0,)])
-    for c in a.copies + b.copies:
-        c.shift = None  # the key reads the exact anchors only
     assert searcher.canonical_key(a.copies) == searcher.canonical_key(b.copies)
     c = node_from_words(searcher, [(), (1,), (2,)])
     assert searcher.canonical_key(c.copies) != searcher.canonical_key(a.copies)
@@ -236,61 +237,6 @@ def _point_rows(points):
          rec["sigma"])
         for key, rec in points.items()
     ]
-
-
-@pytest.mark.parametrize("family,n,K", [("2", 5, 6), ("5a", None, 10)])
-def test_identity_reads_no_float(family, n, K):
-    # which vertices, sides and translates coincide is decided by the
-    # exact vertex keys and anchors: with every float vertex gone, the
-    # root's and every child's analysis give the same answers, and so
-    # does every step of forced_prune's growing closure
-    searcher = _searcher(family, n, K)
-    analyses, steps, closing = [], [], []
-    real_an, real_prune = searcher.analyze_node, searcher.forced_prune
-    real_add, real_child = searcher.add_copy, searcher.child_analysis
-
-    def analyze(node):
-        analyses.append((node.copies, real_an(node)))
-        return analyses[-1][1]
-
-    def child_analysis(an, c):
-        analyses.append((tuple(an.copies) + (c,), real_child(an, c)))
-        return analyses[-1][1]
-
-    def forced_prune(an):
-        closing.append(1)
-        try:
-            return real_prune(an)
-        finally:
-            closing.pop()
-
-    def add_copy(an, c):
-        real_add(an, c)
-        if closing:
-            steps.append((tuple(an.copies), list(an.sides.values()),
-                          _point_rows(an.points)))
-
-    searcher.analyze_node = analyze
-    searcher.child_analysis = child_analysis
-    searcher.forced_prune = forced_prune
-    searcher.add_copy = add_copy
-    report = SearchReport(family, n, 1, K, "none_found",
-                          statistics={"nodes": 0})
-    _run_enumeration(searcher, report, want="appropriate")
-    del searcher.add_copy
-    assert len(analyses) > report.statistics["nodes"]
-    assert steps
-    for copies, *_ in analyses + steps:
-        for c in copies:
-            c.shift = None
-    fields = ("external", "points", "boundary", "complete")
-    for copies, an in analyses:
-        again = real_an(_Node(copies))
-        assert all(getattr(again, f) == getattr(an, f) for f in fields)
-    for copies, external, rows in steps:
-        again = real_an(_Node(copies))
-        assert again.external == external
-        assert _point_rows(again.points) == rows
 
 
 def _rebuilt(searcher, copies):
@@ -354,11 +300,11 @@ def test_incremental_analysis_matches_rebuild(family, n, K):
                 _point_rows(an.boundary), an.complete) == _rebuilt(
                     searcher, copies)
 
-    def forced_prune(an):
-        whole(an, an.copies)
-        before = _tables(an)
-        tag = real_prune(an)
-        assert _tables(an) == before
+    def forced_prune(node, an):
+        whole(an, node.copies)
+        before = _tables(an), {key: list(e) for key, e in node.legal.items()}
+        tag = real_prune(node, an)
+        assert (_tables(an), node.legal) == before
         nodes.append(_Node(tuple(an.copies)))
         return tag
 
@@ -397,7 +343,7 @@ def test_incremental_analysis_matches_rebuild(family, n, K):
     grew = False
     for node in nodes:
         start = len(reads)
-        searcher.forced_prune(searcher.analyze_node(node))
+        searcher.forced_prune(node, searcher.analyze_node(node))
         grew = grew or any(len(copies) > len(node.copies)
                            for copies, *_ in reads[start:])
     del searcher.grown_child
@@ -428,10 +374,10 @@ def test_each_node_is_analysed_once():
         if closing:
             assert len(an.copies) > closing[-1]
 
-    def closure(an):
+    def closure(node, an):
         closing.append(len(an.copies))
         try:
-            return real_closure(an)
+            return real_closure(node, an)
         finally:
             closing.pop()
 
@@ -452,51 +398,6 @@ def test_each_node_is_analysed_once():
     assert inside
     assert folds == [0]
     assert len(outside) == len(pruned) + 1
-
-
-def test_float_vertices_are_made_only_when_read(monkeypatch):
-    # a copy keeps its float shift; full float rows are made only for
-    # the overlap table's misses, two per float test.  Each vertex is
-    # bit for bit the float a chain of reflections of whole float rows
-    # gives: g'.v_j + (g.v_s + t) - g'.v_s, starting from FV[0].
-    import flatbilliards.search as search_mod
-
-    rows, tests = [], []
-    real_verts, real_sat = search_mod._Copy.verts, search_mod._sat_disjoint
-
-    def verts(c):
-        rows.append(1)
-        return real_verts.fget(c)
-
-    def sat(A, B):
-        tests.append(1)
-        return real_sat(A, B)
-
-    monkeypatch.setattr(search_mod._Copy, "verts", property(verts))
-    monkeypatch.setattr(search_mod, "_sat_disjoint", sat)
-    searcher = _searcher("2", 5, 8)
-    report = SearchReport("2", 5, 1, 8, "none_found",
-                          statistics={"nodes": 0})
-    _run_enumeration(searcher, report, want="appropriate")
-    assert tests and len(rows) <= 2 * len(tests)
-
-    def chained(word):
-        lin, vs = 0, searcher.fverts[0]
-        for s in word:
-            new = searcher.refl_lin[lin][s]
-            tx = vs[s][0] - searcher.fverts[new][s][0]
-            ty = vs[s][1] - searcher.fverts[new][s][1]
-            lin, vs = new, tuple((x + tx, y + ty)
-                                 for x, y in searcher.fverts[new])
-        return [(x.hex(), y.hex()) for x, y in vs]
-
-    lists = [w for kept in report.rejected.values() for w in kept]
-    assert lists
-    for words in lists:
-        for c, w in zip(node_from_words(searcher, words).copies, words):
-            assert [(x.hex(), y.hex()) for x, y in c.verts] == chained(w)
-            assert [(x.hex(), y.hex()) for x, y in map(
-                c.vert, range(searcher.k))] == chained(w)
 
 
 _PINNED = [
@@ -551,12 +452,35 @@ def test_search_statistics_are_pinned(family, n, K, statistics, kept):
     assert {tag: len(lists) for tag, lists in r.rejected.items()} == kept
 
 
+@pytest.mark.parametrize("family,n,K", [pin[:3] for pin in _PINNED])
+def test_identity_reads_no_float(family, n, K, monkeypatch):
+    # every decision of the search is exact: with float() of an exact
+    # number raising, each pinned search still gives its pinned
+    # statistics and retained lists
+    entry = make_entry(family, n)
+
+    def no_float(x):
+        raise AssertionError("the search read a float")
+
+    monkeypatch.setattr(CyclotomicReal, "__float__", no_float)
+    r = search_appropriate(entry, K)
+    statistics, kept = next(pin[3:] for pin in _PINNED
+                            if pin[:3] == (family, n, K))
+    assert r.outcome == "none_found" and not r.candidates
+    assert r.statistics == statistics
+    assert {tag: len(lists) for tag, lists in r.rejected.items()} == kept
+
+
 @pytest.mark.parametrize("family,n,K", [("2", 5, 6), ("2", 7, 6),
                                         ("6", 5, 6), ("5a", None, 10)])
 def test_overlap_table_matches_the_direct_test(family, n, K):
     # whether a copy blocks a new one is read from a table keyed by
-    # their relative placement; every read, forced closures included,
-    # must give what the direct test gives on the pair being read
+    # their relative placement and filled by the exact test on D_h.
+    # Every read, forced closures included, must give what two direct
+    # tests give on the pair being read: the float separating-axis test
+    # the search once made, and the same test on exact vertices
+    # P.row(g) + t, with t from the word's reflections across lines
+    P = make_entry(family, n).polygon
     searcher = _searcher(family, n, K)
     reads = []
     real = searcher.blocks
@@ -571,31 +495,125 @@ def test_overlap_table_matches_the_direct_test(family, n, K):
     _run_enumeration(searcher, report, want="appropriate")
     assert len(reads) > len(searcher.overlap)
     assert {hit for *_, hit in reads} == {True, False}
+    placed, exact = {}, {}
+
+    def vertices(c):
+        key = (c.lin, c.anchors[0])
+        if key not in placed:
+            m = motion_by_reflections(P, c.word)
+            assert searcher.G.index_of(m.orth) == c.lin
+            vs = [planar.vadd(p, m.shift) for p in P.row(c.lin)]
+            placed[key] = vs, [(float(x), float(y)) for x, y in vs]
+        return placed[key]
+
     for c, new, hit in reads:
-        assert hit == (c.vset == new.vset
-                       or not _sat_disjoint(new.verts, c.verts))
+        (a, fa), (b, fb) = vertices(c), vertices(new)
+        assert hit == (not sat_disjoint(fb, fa))
+        pair = (c.lin, c.anchors[0], new.lin, new.anchors[0])
+        if pair not in exact:
+            exact[pair] = not exact_disjoint(b, a)
+        assert hit == exact[pair]
 
 
-def test_overlap_floats_run_once_per_placement(monkeypatch):
+def test_overlap_test_runs_once_per_placement():
     # 2 n=5 at K=8 tests about 29,000 pairs over about 170 relative
-    # placements: the float test runs at most once for each
-    import flatbilliards.search as search_mod
-
-    calls = []
-    real = search_mod._sat_disjoint
-
-    def counting(A, B):
-        calls.append(1)
-        return real(A, B)
-
-    monkeypatch.setattr(search_mod, "_sat_disjoint", counting)
+    # placements: the exact test runs once for each, and the table
+    # keeps every answer
     searcher = _searcher("2", 5, 8)
+    calls = []
+    real = searcher.side_values
+
+    def side_values(h, d):
+        calls.append((h, d))
+        return real(h, d)
+
+    searcher.side_values = side_values
     report = SearchReport("2", 5, 1, 8, "none_found",
                           statistics={"nodes": 0})
     _run_enumeration(searcher, report, want="appropriate")
     assert report.statistics["nodes"] == 157
-    assert len(calls) <= len(searcher.overlap)
+    assert len(calls) == len(set(calls)) == len(searcher.overlap)
     assert len(calls) < 1000
+
+
+def _hull(points):
+    """The vertices of the convex hull of (exact point, label) pairs,
+    counterclockwise, none inside a side (Andrew's monotone chain), as
+    their labels."""
+    pts = sorted(points, key=lambda item: item[0])
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) > 1 and planar.orient(out[-2][0], out[-1][0],
+                                                 p[0]) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return [label for _, label in chain(pts) + chain(pts[::-1])]
+
+
+_DIFFERENCE_BASES = {
+    "2-5": lambda: make_entry("2", 5).polygon,
+    "2-7": lambda: make_entry("2", 7).polygon,
+    # legs along 0 and pi/2, hypotenuse at 5pi/4: the vertices are
+    # rational, and only the hypotenuse's direction needs Q(zeta_8)
+    "rational-vertices": lambda: Polygon([
+        Edge(0, 1), Edge(F(1, 2), 1), Edge(F(5, 4), 2 * cos_pi(F(1, 4)))]),
+}
+
+
+@pytest.mark.parametrize("base", list(_DIFFERENCE_BASES))
+def test_overlap_is_the_open_difference_polygon(base):
+    # the copy x -> h.x + d overlaps the base exactly when d lies in the
+    # open polygon D_h, the hull of the differences v_a - h.v_b.  At each
+    # hull vertex two side values vanish and the rest are positive, so
+    # the copy only touches; at each edge's midpoint, whose values are
+    # half the sum of its ends' (the values are affine in d), one
+    # vanishes; at the mean of the vertices all are positive
+    P = _DIFFERENCE_BASES[base]()
+    searcher = _Search(P, _StatusOracle(unfold(P), {}), 8, max_nodes=200000)
+    E = searcher.E
+    for h in range(2 * searcher.N):
+        diffs = {}
+        for a, p in enumerate(P.row(0)):
+            for b, q in enumerate(P.row(h)):
+                w = planar.vsub(p, q)
+                diffs[vkey(w)] = (w, E[0][a] - E[h][b])
+        hull = _hull(list(diffs.values()))
+        values = [list(searcher.side_values(h, d)) for d in hull]
+        assert len(searcher.regions[h]) == len(hull)
+        ones = [1] * len(hull)
+        for vals in values:
+            assert sorted(v.sign() for v in vals) == [0, 0] + ones[2:]
+        for u, v in zip(values, values[1:] + values[:1]):
+            assert sorted((x + y).sign() for x, y in zip(u, v)) == (
+                [0] + ones[1:])
+        assert [sum(col).sign() for col in zip(*values)] == ones
+    # the base itself, a copy across a side, and one reflected back
+    root = _root_copy(searcher)
+    assert searcher.blocks(root, root)
+    for s in range(searcher.k):
+        there = searcher.reflect_copy(root, s)
+        assert not searcher.blocks(root, there)
+        assert searcher.blocks(root, searcher.reflect_copy(there, s))
+        assert searcher.legal_child(_Node((root, there)), 1, s) is None
+
+
+def test_a_coinciding_mirror_image_overlaps():
+    # the isosceles base (3pi/8, 3pi/8, pi/4) is its own mirror image
+    # across an axis of D_8: the copy x -> h.x + d with h that
+    # reflection and the base's vertex set has d inside D_h
+    searcher = _searcher("3", 4, 6)
+    E, found = searcher.E, []
+    for h in range(1, 2 * searcher.N):
+        for v in E[h]:
+            d = E[0][0] - v
+            if sorted(x + d for x in E[h]) == sorted(E[0]):
+                assert all(y.sign() > 0 for y in searcher.side_values(h, d))
+                found.append(h)
+    assert len(found) == 1 and found[0] >= searcher.N
 
 
 @pytest.mark.parametrize("N", range(1, 13))
@@ -655,41 +673,63 @@ def test_forced_closure_does_not_depend_on_order(family, n, K):
     calls = []
     real = searcher.forced_prune
 
-    def forced_prune(an):
-        calls.append((an, real(an)))
-        return calls[-1][1]
+    def forced_prune(node, an):
+        calls.append((node, an, real(node, an)))
+        return calls[-1][2]
 
     searcher.forced_prune = forced_prune
     report = SearchReport(family, n, 1, K, "none_found",
                           statistics={"nodes": 0})
     _run_enumeration(searcher, report, want="appropriate")
-    assert {tag for _, tag in calls} - {None}
-    for an, tag in calls:
+    assert {tag for *_, tag in calls} - {None}
+    for node, an, tag in calls:
         shuffled = an.copy()
         items = list(shuffled.points.items())
         rng.shuffle(items)
         for _, rec in items:
             rng.shuffle(rec["ext"])
         shuffled.points = dict(items)
-        assert real(shuffled) == tag
+        assert real(node, shuffled) == tag
+
+
+@functools.cache
+def _float_rows(P):
+    """g.v_j as floats for each element g of G_P."""
+    return [[(float(x), float(y)) for x, y in P.row(h)]
+            for h in range(2 * P.group().N)]
+
+
+def _float_vertex(searcher, word):
+    """Float position of base vertex 0 in the copy a word reaches,
+    chained from float rows: reflecting g.x + t across side s gives
+    g'.x + t + g.v_s - g'.v_s."""
+    rows = _float_rows(searcher.P)
+    lin, tx, ty = 0, 0.0, 0.0
+    for s in word:
+        new = searcher.refl_lin[lin][s]
+        tx += rows[lin][s][0] - rows[new][s][0]
+        ty += rows[lin][s][1] - rows[new][s][1]
+        lin = new
+    return rows[lin][0][0] + tx, rows[lin][0][1] + ty
 
 
 def _float_class(searcher, copies):
     """A congruence key that does not read the exact anchors: each
-    copy's group element and the float position of its base vertex 0,
-    moved by every group element, centred on their mean and rounded to
-    a 1e-4 grid (the smallest gap between distinct positions here is
-    far larger)."""
-    mx = sum(c.vert(0)[0] for c in copies) / len(copies)
-    my = sum(c.vert(0)[1] for c in copies) / len(copies)
+    copy's group element and the float position of its base vertex 0
+    (`_float_vertex`), moved by every group element, centred on their
+    mean and rounded to a 1e-4 grid (the smallest gap between distinct
+    positions here is far larger)."""
+    verts = [_float_vertex(searcher, c.word) for c in copies]
+    mx = sum(x for x, _ in verts) / len(copies)
+    my = sum(y for _, y in verts) / len(copies)
     best = None
     for gi, g in enumerate(searcher.G.elements()):
         th = math.pi * float(g.param) * (1 if g.kind == "rot" else 2)
         a, b = math.cos(th), math.sin(th)
         m = (a, -b, b, a) if g.kind == "rot" else (a, b, b, -a)
         key = []
-        for c in copies:
-            x, y = c.vert(0)[0] - mx, c.vert(0)[1] - my
+        for c, (x, y) in zip(copies, verts):
+            x, y = x - mx, y - my
             key.append((
                 searcher.mult[gi][c.lin],
                 round((m[0] * x + m[1] * y) * 1e4) + 0,
@@ -735,7 +775,7 @@ def _classes_without_dedup(family, n, max_copies, forced):
                 if new is None:
                     continue
                 child = _Node(node.copies + (new,))
-                ident = frozenset((c.lin, c.vset) for c in child.copies)
+                ident = frozenset((c.lin, c.anchors[0]) for c in child.copies)
                 _, seen_clean = nxt.get(ident, (None, False))
                 nxt[ident] = (child, clean or seen_clean)
         level = list(nxt.values())
@@ -761,8 +801,8 @@ def test_search_reaches_every_class(family, n):
         reached.add(_float_class(searcher, copies))
         return keys[-1]
 
-    def forced_prune(an):
-        tag = real_prune(an)
+    def forced_prune(node, an):
+        tag = real_prune(node, an)
         if tag is not None:
             forced.add(_float_class(searcher, an.copies))
         return tag
