@@ -1,7 +1,11 @@
 """Polynomial kernel: products and reductions of integer coefficient lists.
 
 Coefficients are arbitrary-precision Python ints throughout, lowest
-degree first.
+degree first.  A reduction takes the remainder modulo the n-th
+cyclotomic polynomial Phi_n, given by its degree phi and its nonzero
+lower terms (j, a), a the coefficient of x**j (Phi_n is monic): a list
+longer than n is first folded mod x**n - 1, which Phi_n divides, then
+long-divided by Phi_n.  No table beyond those terms is kept.
 """
 
 KERNEL = "python"
@@ -22,26 +26,25 @@ def convolve(a, b):
     return out
 
 
-def reduce_tail(c, rows, phi):
-    """Fold coefficients of degree >= phi back using reduction rows.
-
-    `rows[k]` holds the coefficients of x**(phi+k) reduced modulo the
-    defining polynomial.  Returns a list of length phi.
-    """
-    out = list(c[:phi])
-    if len(out) < phi:
-        out.extend([0] * (phi - len(out)))
-    for k in range(len(c) - phi):
-        ck = c[phi + k]
-        if ck:
-            row = rows[k]
-            for j in range(phi):
-                rj = row[j]
-                if rj:
-                    out[j] += ck * rj
+def remainder(c, n, phi, terms):
+    """The remainder of c modulo Phi_n, as a list of length phi."""
+    if len(c) > n:
+        out = [0] * n
+        for i, ci in enumerate(c):
+            out[i % n] += ci
+    else:
+        out = list(c)
+    for d in range(len(out) - 1, phi - 1, -1):
+        q = out[d]
+        if q:
+            base = d - phi
+            for j, a in terms:
+                out[base + j] -= q * a
+    del out[phi:]
+    out.extend([0] * (phi - len(out)))
     return out
 
 
-def mul_reduced(a, b, rows, phi):
+def mul_reduced(a, b, n, phi, terms):
     """Multiply two reduced coefficient lists and reduce the result."""
-    return reduce_tail(convolve(a, b), rows, phi)
+    return remainder(convolve(a, b), n, phi, terms)

@@ -2,7 +2,9 @@
 
 A value is stored as an integer polynomial in zeta_n (a primitive n-th
 root of unity) over a common denominator, reduced modulo the n-th
-cyclotomic polynomial.  Only values fixed by complex conjugation (real
+cyclotomic polynomial Phi_n: exponents fold mod n, since zeta_n**n = 1,
+then a long division by Phi_n's nonzero terms (`_kernel.remainder`)
+leaves phi(n) coefficients.  Only values fixed by complex conjugation (real
 values) are allowed through the public constructors.  Equality is
 exact.  Signs, intervals, floats and decimals come from one integer
 enclosure: at precision p, sum c_j*C_j with each integer C_j less than
@@ -23,9 +25,10 @@ polynomial relations on trig combinations instead.
 
 Every conductor n has phi(n) <= MAX_DEGREE; a larger one is refused
 with ExactError before anything is built for it.  The module's tables
-(_CONTEXTS per conductor, _COS_FLOORS per conductor and precision,
-_TRIG_CACHE per angle) are never evicted: in a long-lived process they
-grow with each new conductor, precision and angle.
+(_CONTEXTS per conductor, holding phi(n) and at most phi(n) + 1 terms
+of Phi_n; _COS_FLOORS per conductor and precision; _TRIG_CACHE per
+angle) are never evicted: in a long-lived process they grow with each
+new conductor, precision and angle.
 """
 
 from __future__ import annotations
@@ -96,48 +99,29 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class _Context:
-    """Reduction data for one conductor."""
+    """Reduction data for one conductor n: phi(n) and the nonzero terms
+    (j, a) of Phi_n below its leading x**phi."""
 
-    __slots__ = ("n", "phi", "poly", "rows")
+    __slots__ = ("n", "phi", "terms")
 
     def __init__(self, n: int):
+        poly = cyclotomic_polynomial(n)
         self.n = n
-        self.poly = cyclotomic_polynomial(n)
-        self.phi = len(self.poly) - 1
-        # rows[k] = coefficients of x**(phi+k) reduced mod poly
-        self.rows: list[list[int]] = []
-
-    def rows_upto(self, degree: int) -> list[list[int]]:
-        """Reduction rows covering exponents phi .. degree."""
-        phi = self.phi
-        while len(self.rows) < degree - phi + 1:
-            if not self.rows:
-                row = [-c for c in self.poly[:phi]]
-            else:
-                prev = self.rows[-1]
-                row = [0] + list(prev[: phi - 1])
-                top = prev[phi - 1]
-                if top:
-                    for j in range(phi):
-                        row[j] -= top * self.poly[j]
-            self.rows.append(row)
-        return self.rows
+        self.phi = len(poly) - 1
+        self.terms = tuple((j, a) for j, a in enumerate(poly[:-1]) if a)
 
     def reduce(self, coeffs: list[int]) -> list[int]:
-        phi = self.phi
-        if len(coeffs) <= phi:
-            out = list(coeffs) + [0] * (phi - len(coeffs))
-            return out
-        rows = self.rows_upto(len(coeffs) - 1)
-        return _kernel.reduce_tail(coeffs, rows, phi)
+        return _kernel.remainder(coeffs, self.n, self.phi, self.terms)
 
 
 _CONTEXTS: dict[int, _Context] = {}
 
 # the largest degree phi(n) of a conductor n.  A product costs about
-# phi(n)**2 and cos_pi's reduction rows (n - phi(n)) * phi(n): on one
-# Xeon core `analyze --triangle 1/2,1/997,995/1994` (n 3988, phi 1992)
-# takes about 2 s, and about 6 s at the largest admitted n, 9240.
+# phi(n)**2, and cos_pi's division by Phi_n (n - phi(n)) times Phi_n's
+# nonzero terms, with no stored table: on one Xeon core `analyze
+# --triangle 1/2,1/997,995/1994` (n 3988, phi 1992) takes about 0.6 s
+# and 30 MiB, and 1/2,1/4620,2309/4620 at the largest admitted n, 9240,
+# about 1.0 s and 41 MiB.
 MAX_DEGREE = 2048
 
 
@@ -370,10 +354,9 @@ class CyclotomicReal:
         if ctx.phi == 1:
             num = [a.num[0] * b.num[0]]
             return CyclotomicReal(a.n, num, a.den * b.den, _trusted=True)
-        rows = ctx.rows_upto(2 * ctx.phi - 2)
         # call through the module attribute: perfbench/tracing.py wraps
         # _kernel.mul_reduced there and sees no call bound to a local name
-        num = _kernel.mul_reduced(list(a.num), list(b.num), rows, ctx.phi)
+        num = _kernel.mul_reduced(a.num, b.num, ctx.n, ctx.phi, ctx.terms)
         return CyclotomicReal(a.n, num, a.den * b.den, _trusted=True)
 
     __rmul__ = __mul__

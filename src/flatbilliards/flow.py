@@ -9,7 +9,10 @@ c/s of the side's pair (none for s = 0, a side parallel to the flow),
 inverted once per decomposition.  Which corners a direction leaves
 from (`_corner_mode`) is read from rational angles alone.  When every
 separatrix closes up, the faces are cut along them and the pieces
-glued into cylinders with exact heights and circumferences.
+glued into cylinders with exact heights and circumferences.  A
+circumference is read off the cylinder's horizontal bottom boundary,
+with no product or inverse, and the cylinders' areas 2*h*c must sum to
+the surface's, which tests every height and circumference.
 
 A chart has one conductor n, the lcm of the conductors of theta's cos
 and sin and of the walk's inputs, P's side lengths and the pairs.  Its
@@ -116,12 +119,14 @@ class _Piece:
     def points(self):
         return [pt for _, pt in self.nodes]
 
-    def area_twice(self):
-        return planar.polygon_area_twice(self.points())
-
 
 @dataclass
 class Cylinder:
+    """A cylinder between heights y_min and y_max of the chart.  Its
+    circumference is the sum of x_b - x_a over its boundary segments at
+    y_min, which run in +x because every piece is counterclockwise, and
+    area_twice is 2 * height * circumference."""
+
     height: CyclotomicReal
     circumference: CyclotomicReal
     area_twice: CyclotomicReal
@@ -544,11 +549,9 @@ def _glue_pieces(chart: _Chart, pieces: list, cut_sides: set):
     cylinders = []
     for ci in range(n_comp):
         members = [i for i in range(len(pieces)) if comp[i] == ci]
-        area2 = ZERO
-        boundary_vals = []
+        boundary = []  # (height, x at start, x at end) of each segment
         for i in members:
             piece = pieces[i]
-            area2 = area2 + piece.area_twice()
             off = offsets[i]
             n = len(piece.nodes)
             for j in range(n):
@@ -558,28 +561,31 @@ def _glue_pieces(chart: _Chart, pieces: list, cut_sides: set):
                 )
                 if not is_boundary:
                     continue
-                ya = piece.nodes[j][1][1] + off
-                yb = piece.nodes[(j + 1) % n][1][1] + off
+                xa, ya = piece.nodes[j][1]
+                xb, yb = piece.nodes[(j + 1) % n][1]
                 if not (ya - yb).is_zero:
                     raise SurfaceError("cylinder boundary not parallel")
-                boundary_vals.append(ya)
-        if not boundary_vals:
+                boundary.append((ya + off, xa, xb))
+        if not boundary:
             raise SurfaceError("component without boundary")
-        y_min = min(boundary_vals, key=planar._sort_key)
-        y_max = max(boundary_vals, key=planar._sort_key)
-        for y in boundary_vals:
-            if not (y - y_min).is_zero and not (y - y_max).is_zero:
+        levels = [y for y, _, _ in boundary]
+        y_min = min(levels, key=planar._sort_key)
+        y_max = max(levels, key=planar._sort_key)
+        circumference = ZERO
+        for y, xa, xb in boundary:
+            if (y - y_min).is_zero:
+                circumference = circumference + (xb - xa)
+            elif not (y - y_max).is_zero:
                 raise SurfaceError(
                     "boundary chord strictly inside a cylinder"
                 )
         h = y_max - y_min
         if h.sign() <= 0:
             raise SurfaceError("cylinder height must be positive")
-        circumference = area2 / (2 * h)
         cyl = Cylinder(
             height=h,
             circumference=circumference,
-            area_twice=area2,
+            area_twice=2 * h * circumference,
             y_min=y_min,
             y_max=y_max,
             pieces=[(pieces[i], offsets[i]) for i in members],

@@ -2,11 +2,12 @@
 
 The program reads D_N's products from group indices, moves lattice
 directions by D_N's integer action, chains copies by the group law,
-places vertices by walking along P's sides and decides whether two
-copies overlap by the sign of integer maps on packed coordinates.  The
-references here compose linear maps, move directions by their angle
-formulas, rotate and reflect vectors, chain a word's copies as
-reflections across lines and separate convex polygons by their sides,
+places vertices by walking along P's sides, decides whether two
+copies overlap by the sign of integer maps on packed coordinates and
+reduces mod Phi_n by one long division.  The references here compose
+linear maps, move directions by their angle formulas, rotate and
+reflect vectors, chain a word's copies as reflections across lines,
+separate convex polygons by their sides and reduce through dense rows,
 the way the program once did, so tests can compare the two.
 """
 
@@ -115,3 +116,34 @@ def exact_disjoint(A, B):
             if all(planar.orient(p, q, x) * turn <= 0 for x in other):
                 return True
     return False
+
+
+def reduction_rows(poly, degree):
+    """rows[k] = the coefficients of x**(phi+k) reduced mod the monic
+    polynomial poly (degree phi, low first), for phi + k <= degree."""
+    phi = len(poly) - 1
+    rows = []
+    while len(rows) < degree - phi + 1:
+        if not rows:
+            row = [-c for c in poly[:phi]]
+        else:
+            prev = rows[-1]
+            row = [0] + list(prev[: phi - 1])
+            top = prev[phi - 1]
+            if top:
+                for j in range(phi):
+                    row[j] -= top * poly[j]
+        rows.append(row)
+    return rows
+
+
+def reduce_by_rows(c, poly):
+    """c mod poly, with each coefficient of degree phi + k folded back
+    through row k; a list of length phi."""
+    phi = len(poly) - 1
+    out = list(c[:phi]) + [0] * max(0, phi - len(c))
+    rows = reduction_rows(poly, len(c) - 1)
+    for k in range(len(c) - phi):
+        for j in range(phi):
+            out[j] += c[phi + k] * rows[k][j]
+    return out

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import mpmath
@@ -7,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatbilliards import _kernel
 from flatbilliards import cyclotomic as cy
 from flatbilliards import fileio
+from reference import reduce_by_rows
 
 
 def test_cos_pi_third_is_half():
@@ -184,6 +189,56 @@ def test_cyclotomic_polynomials_factor_x_n_minus_1():
         assert prod == [-1] + [0] * (n - 1) + [1]
         units = sum(1 for j in range(1, n + 1) if math.gcd(j, n) == 1)
         assert len(cy.cyclotomic_polynomial(n)) - 1 == cy.totient(n) == units
+
+
+REDUCTION_CONDUCTORS = (1, 2, 3, 4, 12, 15, 16, 30, 97, 210, 420)
+
+
+def test_reduction_matches_dense_rows():
+    # lists longer than n are folded mod x**n - 1 before the division;
+    # lengths phi + 1 .. 3n take both paths
+    rng = random.Random(24)
+    for n in REDUCTION_CONDUCTORS:
+        poly = cy.cyclotomic_polynomial(n)
+        phi = len(poly) - 1
+        lengths = {phi + 1, n, n + 1, 2 * n, 3 * n}
+        lengths |= {rng.randint(phi + 1, 3 * n) for _ in range(4)}
+        for length in sorted(lengths):
+            c = [rng.randint(-10**9, 10**9) for _ in range(length)]
+            assert cy._context(n).reduce(c) == reduce_by_rows(c, poly), (n, length)
+
+
+def test_products_match_dense_rows():
+    # a product has length 2*phi - 1, which exceeds n at a prime n > 3
+    rng = random.Random(2024)
+    for n in REDUCTION_CONDUCTORS:
+        poly = cy.cyclotomic_polynomial(n)
+        phi = len(poly) - 1
+        for _ in range(5):
+            a = [rng.randint(-10**6, 10**6) for _ in range(phi)]
+            b = [rng.randint(-10**6, 10**6) for _ in range(phi)]
+            x = cy.CyclotomicReal(n, a, 1, _trusted=True)
+            y = cy.CyclotomicReal(n, b, 1, _trusted=True)
+            want = reduce_by_rows(_kernel.convolve(a, b), poly)
+            assert list((x * y).num) == want, n
+
+
+def test_cos_pi_at_the_largest_conductor_keeps_no_table():
+    # conductor 9240: dense reduction rows would hold 7320 rows of 1920
+    # integers; a fresh interpreter, because _CONTEXTS outlives a test
+    code = (
+        "import tracemalloc\n"
+        "from fractions import Fraction\n"
+        "from flatbilliards.cyclotomic import cos_pi\n"
+        "tracemalloc.start()\n"
+        "cos_pi(Fraction(1, 4620))\n"
+        "print(tracemalloc.get_traced_memory()[1])\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cy.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert int(out.stdout) <= 4 * 2**20
 
 
 def test_conductor_above_max_degree_is_refused():

@@ -16,7 +16,8 @@ from flatbilliards.flow import (
     height_split,
 )
 from flatbilliards.periodicity import default_directions
-from flatbilliards.planar import cross, dot, vkey, vneg, vsub
+from flatbilliards.planar import (
+    cross, dot, polygon_area_twice, vkey, vneg, vsub)
 from flatbilliards.polygons import Edge, Polygon, triangle_from_angles
 from flatbilliards.unfolding import unfold
 
@@ -78,16 +79,25 @@ def test_double_pentagon_two_cylinders_golden_ratio():
 
 
 def test_area_conservation():
-    for angles, th in [
-        ((F(1, 2), F(1, 8), F(3, 8)), F(0)),
-        ((F(1, 4), F(1, 3), F(5, 12)), F(1, 12)),
-        ((F(2, 9), F(1, 3), F(4, 9)), F(1, 6)),
-    ]:
-        M = unfold(triangle_from_angles(*angles))
+    # a cylinder's area 2*h*c, c read off its bottom boundary, is the
+    # shoelace area of its pieces, and the areas sum to the surface's
+    cases = [
+        (triangle_from_angles(F(1, 2), F(1, 8), F(3, 8)), F(0)),
+        (triangle_from_angles(F(1, 4), F(1, 3), F(5, 12)), F(1, 12)),
+        (triangle_from_angles(F(2, 9), F(1, 3), F(4, 9)), F(1, 6)),
+        (make_entry("2", 5).polygon, F(1, 10)),
+        (make_entry("5a").polygon, F(0)),
+        (make_entry("5c").polygon, F(1, 6)),
+    ]
+    for P, th in cases:
+        M = unfold(P)
         dec = cylinder_decomposition(M, th)
         total = embed(0)
         for c in dec.cylinders:
-            assert (2 * c.height * c.circumference - c.area_twice).is_zero
+            pieces = embed(0)
+            for piece, _ in c.pieces:
+                pieces = pieces + polygon_area_twice(piece.points())
+            assert (c.area_twice - pieces).is_zero
             total = total + c.area_twice
         assert (total - M.area_twice()).is_zero
 
