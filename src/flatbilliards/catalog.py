@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import planar
-from .cyclotomic import embed
+from .cyclotomic import cos_pi, embed, sin_pi
 from .polygons import Edge, Polygon, PolygonError, triangle_from_angles
 
 F = Fraction
@@ -61,7 +61,7 @@ def quadrilateral_from_angles(angles) -> Polygon:
     dirs = [F(0)]
     for i in range(1, 4):
         dirs.append((dirs[i - 1] + 1 - angles[i]) % 2)
-    units = [Edge(d, 1).vector() for d in dirs]
+    units = [(cos_pi(d), sin_pi(d)) for d in dirs]
     for first in (F(1), F(1, 2), F(2), F(3, 2), F(2, 3), F(1, 4), F(4)):
         rhs = planar.vneg(
             planar.vadd(units[0], planar.vscale(units[1], first))

@@ -17,7 +17,7 @@ from .catalog import CatalogError, list_families, make_entry
 from .covers import (
     analyze_cover,
     appropriate_verdict,
-    motions_from_words,
+    copies_from_words,
     tile_by_words,
 )
 from .cyclotomic import is_rational
@@ -301,9 +301,8 @@ def _cmd_search(args) -> int:
             slug = tag.replace(" ", "-").replace("(", "").replace(")", "")
             for words in word_lists:
                 fileio.svg_of_polygons(
-                    [[planar.vadd(p, mo.shift)
-                      for p in P.row(P.group().index_of(mo.orth))]
-                     for mo in motions_from_words(P, words)],
+                    [[planar.vadd(p, t) for p in P.row(g)]
+                     for g, t in copies_from_words(P, words)],
                     f"{args.svg_dir}/{slug}-{i:03d}.svg",
                 )
                 i += 1

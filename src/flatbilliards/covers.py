@@ -18,9 +18,10 @@ sequence onto a cyclic shift of itself.
 
 Group elements and directions are integers, read by D_N's law
 (`DihedralGroup.product`) and its action on lattice directions
-(`DihedralGroup.act_on_direction`).  A copy is its group index g and
-its shift, placed as P's row g (`Polygon.row`) plus the shift: a word
-is chained index by index, and a mirror pair is an index equality plus
+(`DihedralGroup.act_on_direction`).  A copy is a pair (g, t), its group
+index in G_P and its exact shift, from the word that reaches it to the
+verdict: it is placed as P's row g (`Polygon.row`) plus t, a word is
+chained index by index, and a mirror pair is an index equality plus
 one exact vertex comparison.  The cover's charts are read the same
 way: the corner of base vertex v of copy c, seen from face h of the
 outline's surface, lies on face h.g_c of the base surface, whose corner
@@ -28,7 +29,9 @@ table gives its class, and the outline group's elements are read in
 the base group by one integer formula.  The outline's edge directions,
 and the symmetry screen over them, are lattice indices.  Exact
 arithmetic is left for walking P's rows, shifting copies, and the
-outline's simplicity and area.
+outline's simplicity and area.  The verdict reads -Id in the outline
+group off the parity of N_Q, and names it by the even angle between two
+of the outline's sides that then exists (`appropriate_verdict`).
 """
 
 from __future__ import annotations
@@ -41,11 +44,9 @@ from . import planar
 from .periodicity import classify_point
 from .polygons import (
     Edge,
-    Motion,
     Polygon,
     PolygonError,
     edge_directions,
-    minus_id_screen,
     side_reflections,
 )
 from .unfolding import TranslationSurface, unfold
@@ -56,20 +57,18 @@ class CoverError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# building motions from reflection words
+# placing copies by reflection words
 
 
-def motions_from_words(P: Polygon, words) -> list[Motion]:
-    """Compose reflections along each word of side indices.
+def copies_from_words(P: Polygon, words) -> list[tuple]:
+    """The copy (g, t) of P that each word of side indices reaches.
 
-    Starting from the identity copy of P, each index s reflects the
-    current copy across its own side s; the result is the motion
-    placing the final copy.  Side indices run from 0 to k - 1.
-
-    A copy is its group index g and shift t.  Reflected across its
-    side s it becomes g' = g.r_s, r_s the reflection across side s of
-    P, read by D_N's law, and it keeps its vertex s in place: t' = t +
-    g.v_s - g'.v_s, read from P's rows.
+    Starting from the identity copy (0, 0), each index s reflects the
+    current copy across its own side s.  Side indices run from 0 to
+    k - 1.  Reflected across its side s, the copy (g, t) becomes g' =
+    g.r_s, r_s the reflection across side s of P, read by D_N's law,
+    and it keeps its vertex s in place: t' = t + g.v_s - g'.v_s, read
+    from P's rows.
     """
     G = P.group()
     r = side_reflections(P, G)
@@ -84,13 +83,8 @@ def motions_from_words(P: Polygon, words) -> list[Motion]:
             g2 = G.product(g, r[s])
             t = planar.vadd(t, planar.vsub(P.row(g)[s], P.row(g2)[s]))
             g = g2
-        out.append(Motion(G.element(g), t))
+        out.append((g, t))
     return out
-
-
-def motion_from_word(P: Polygon, word) -> Motion:
-    """The motion placing the copy that one word reaches."""
-    return motions_from_words(P, [word])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -102,27 +96,28 @@ class Tiling:
     """A verified tiling of the outline polygon by copies of the base."""
 
     base: Polygon
-    motions: tuple
-    indices: tuple  # per copy, its orthogonal part's base group index
+    indices: tuple  # per copy, its group index in G_P
     copy_vertices: tuple  # per copy, placed vertices in base order
     outline: Polygon  # Q, with vertex 0 at the origin of its own chart
     outline_points: tuple  # plane coordinates of Q's vertices
-    internal_pairs: tuple  # ((ci, si), (cj, sj)) shared full sides
-    external_sides: tuple  # (ci, si) on the boundary of Q
     chain: tuple  # (copy, copy it was reached from, shared side)
 
     @property
     def n_copies(self) -> int:
-        return len(self.motions)
+        return len(self.indices)
 
 
-def verify_tiling(P: Polygon, motions) -> Tiling:
+def verify_tiling(P: Polygon, copies) -> Tiling:
     """Check the tiling invariants exactly and extract the outline.
 
-    Raises CoverError on coinciding copies, a side with more than two
-    owners, non-mirror adjacency, a disconnected union, or an outline
-    that is pinched, has a hole, or is not a simple counterclockwise
-    polygon (a pinch may also come from overlapping copies).
+    `copies` is an iterable of pairs (g, t): a group index of G_P and
+    an exact shift, as `copies_from_words` gives them.
+
+    Raises CoverError on a group index outside 0..2N-1, coinciding
+    copies, a side with more than two owners, non-mirror adjacency, a
+    disconnected union, or an outline that is pinched, has a hole, or is
+    not a simple counterclockwise polygon (a pinch may also come from
+    overlapping copies).
 
     No side or vertex is tested against another copy: these checks
     already rule out every overlap, crossing, T-junction and partial
@@ -137,19 +132,19 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
     another would leave part of a copy outside Q or over its mirror
     partner.  The area check is a cheap cross-check of the count.
     """
-    motions = tuple(motions)
-    if not motions:
+    copies = tuple(copies)
+    if not copies:
         raise CoverError("a tiling needs at least one copy")
     G_P = P.group()
-    for mo in motions:
-        if mo.orth not in G_P:
+    indices = tuple(g for g, _ in copies)
+    for g in indices:
+        if not 0 <= g < 2 * G_P.N:
             raise CoverError(
-                "motion's orthogonal part is outside the base polygon's "
-                "reflection group"
+                f"group index {g} is outside 0..{2 * G_P.N - 1}, the base "
+                f"polygon's reflection group D_{G_P.N}"
             )
-    indices = tuple(G_P.index_of(mo.orth) for mo in motions)
-    copy_vertices = [tuple(planar.vadd(p, mo.shift) for p in P.row(g))
-                     for g, mo in zip(indices, motions)]
+    copy_vertices = [tuple(planar.vadd(p, t) for p in P.row(g))
+                     for g, t in copies]
     k = len(P.edges)
 
     # duplicate copies
@@ -174,19 +169,19 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
         if len(owners) > 2:
             raise CoverError("a side is shared by more than two copies")
         if len(owners) == 2:
-            (ci, si), (cj, sj) = owners
+            (ci, si), (cj, _) = owners
             if ci == cj:
                 raise CoverError("a copy shares a side with itself")
-            internal_pairs.append(((ci, si), (cj, sj)))
+            internal_pairs.append((ci, si, cj))
         else:
             external.append(owners[0])
 
     # mirror adjacency across every internal side: the mirror image of
     # copy ci across its side si has group index g_ci.r_si and keeps
-    # vertex si in place, and a motion is fixed by its linear part and
+    # vertex si in place, and a copy is fixed by its group index and
     # the image of one point
     r = side_reflections(P, G_P)
-    for (ci, si), (cj, _) in internal_pairs:
+    for ci, si, cj in internal_pairs:
         if indices[cj] != G_P.product(indices[ci], r[si]) or not planar.veq(
             copy_vertices[ci][si], copy_vertices[cj][si]
         ):
@@ -197,8 +192,8 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
 
     # connectivity through shared sides: a breadth-first chain from
     # copy 0 (the loop reads the entries it appends)
-    adjacency = {c: [] for c in range(len(motions))}
-    for (ci, si), (cj, _) in internal_pairs:
+    adjacency = {c: [] for c in range(len(copies))}
+    for ci, si, cj in internal_pairs:
         adjacency[ci].append((cj, si))
         adjacency[cj].append((ci, si))
     chain, reached = [(0, None, None)], {0}
@@ -207,7 +202,7 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
             if nxt not in reached:
                 reached.add(nxt)
                 chain.append((nxt, c, si))
-    if len(chain) != len(motions):
+    if len(chain) != len(copies):
         raise CoverError("union of copies is disconnected")
 
     # chain the external sides counterclockwise into the outline; a
@@ -271,7 +266,7 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
         raise CoverError(
             f"copies overlap or cross: outline is not a simple polygon: {exc}"
         ) from exc
-    want = P.area_twice() * len(motions)
+    want = P.area_twice() * len(copies)
     if not (outline.area_twice() - want).is_zero:
         raise CoverError(
             "copies overlap or cross: outline area does not match the "
@@ -280,22 +275,19 @@ def verify_tiling(P: Polygon, motions) -> Tiling:
 
     return Tiling(
         base=P,
-        motions=motions,
         indices=indices,
         copy_vertices=tuple(copy_vertices),
         outline=outline,
         outline_points=tuple(points),
-        internal_pairs=tuple(internal_pairs),
-        external_sides=tuple(external),
         chain=tuple(chain),
     )
 
 
 def tile_by_words(P: Polygon, words) -> Tiling:
-    """Convenience: build motions from reflection words and verify."""
+    """Convenience: place copies by reflection words and verify."""
     # both are called through the module attributes, which is where
     # perfbench/tracing.py wraps what it times (verify_tiling)
-    return verify_tiling(P, motions_from_words(P, words))
+    return verify_tiling(P, copies_from_words(P, words))
 
 
 # ---------------------------------------------------------------------------
@@ -473,20 +465,12 @@ def analyze_cover(t: Tiling) -> CoverAnalysis:
         v = sources.pop()
         kk = len(rec["corners"])
         sigma = kk * angles[v].multiple
-        n0 = angles[v].denominator
+        # each case gives the groups of M_Q's faces that share one
+        # preimage of the point, and that preimage's ramification e
         if sigma == 2:
             # interior point of Q: one unbranched preimage per face
-            for face in M_Q.faces:
-                img = None
-                for c, _ in rec["corners"]:
-                    got = image_class_id(face.index, c, v)
-                    if img is None:
-                        img = got
-                    elif got != img:
-                        raise CoverError("cover chart mismatch (interior)")
-                per_class[img]["k"].append(kk)
-                per_class[img]["e"].append(1)
-                per_class[img]["sum"] += 1
+            where, e = "interior", 1
+            groups = [[face.index] for face in M_Q.faces]
         elif sigma == 1:
             # interior point of an outline edge: faces identify in pairs
             eq = None
@@ -500,25 +484,12 @@ def analyze_cover(t: Tiling) -> CoverAnalysis:
                 raise CoverError(
                     "half-angle point off the outline boundary"
                 )  # pragma: no cover
-            done = set()
-            for face in M_Q.faces:
-                pos = face.side_position_of_source(eq)
-                partner = M_Q.pairing[(face.index, pos)][0]
-                pair = frozenset((face.index, partner))
-                img = None
-                for fi in pair:
-                    for c, _ in rec["corners"]:
-                        got = image_class_id(fi, c, v)
-                        if img is None:
-                            img = got
-                        elif got != img:
-                            raise CoverError("cover chart mismatch (edge)")
-                if pair in done:
-                    continue
-                done.add(pair)
-                per_class[img]["k"].append(kk)
-                per_class[img]["e"].append(1)
-                per_class[img]["sum"] += 1
+            where, e = "edge", 1
+            groups = list(dict.fromkeys(
+                frozenset((face.index, M_Q.pairing[
+                    (face.index, face.side_position_of_source(eq))][0]))
+                for face in M_Q.faces
+            ))
         else:
             qi = outline_index.get(key)
             if qi is None:
@@ -526,19 +497,20 @@ def analyze_cover(t: Tiling) -> CoverAnalysis:
                     "corner angle sum is neither a vertex of the outline "
                     "nor a flat completion"
                 )
-            e = kk // math.gcd(kk, n0)
-            for cls in M_Q.classes_for_source_vertex(qi):
-                img = None
-                for fi, _ in cls.corners:
-                    for c, _ in rec["corners"]:
-                        got = image_class_id(fi, c, v)
-                        if img is None:
-                            img = got
-                        elif got != img:
-                            raise CoverError("cover chart mismatch (vertex)")
-                per_class[img]["k"].append(kk)
-                per_class[img]["e"].append(e)
-                per_class[img]["sum"] += e
+            where, e = "vertex", kk // math.gcd(kk, angles[v].denominator)
+            groups = [[fi for fi, _ in cls.corners]
+                      for cls in M_Q.classes_for_source_vertex(qi)]
+        # every face of a group sees every corner at the point in one
+        # class of M_P, the image of that preimage
+        for group in groups:
+            images = {image_class_id(fi, c, v)
+                      for fi in group for c, _ in rec["corners"]}
+            if len(images) != 1:
+                raise CoverError(f"cover chart mismatch ({where})")
+            data = per_class[images.pop()]
+            data["k"].append(kk)
+            data["e"].append(e)
+            data["sum"] += e
 
     branch_points = []
     total_ram = 0
@@ -614,10 +586,15 @@ def appropriate_verdict(analysis: CoverAnalysis, verdicts=None) -> dict:
     elif len(branched) >= 2:
         reasons.append("two branch points")
 
-    Q = analysis.tiling.outline
-    screen = minus_id_screen(Q, external_sides=range(len(Q.edges)))
-    if screen["in_group"]:
-        reasons.append(f"rotation by pi in outline group ({screen['reason']})")
+    # -Id lies in the outline group D_(N_Q) exactly when N_Q is even,
+    # and then two sides of Q meet at an even angle: N_Q is the lcm of
+    # the denominators of Q's angles, so one angle has an even
+    # denominator, and an angle is the difference of its vertex's two
+    # side directions mod 1.  With N_Q odd, every difference of side
+    # directions lies in (1/N_Q)Z and has an odd denominator.
+    if analysis.N_Q % 2 == 0:
+        reasons.append(
+            "rotation by pi in outline group (external_even_angle_pair)")
 
     if len(branched) == 1:
         bp = branched[0]

@@ -10,7 +10,11 @@ reflections N..2N-1) multiplied by `DihedralGroup.product`, and its
 lattice directions base + m/N are indices m mod 2N that an element
 moves by `DihedralGroup.act_on_direction`.  Exact vertices are walks
 along P's sides over the group's (cos, sin) table (`walk`), and no
-vector is rotated.  `LinearMap` is left for naming group elements.
+vector is rotated.  A polygon's own vertices are walked once, by its
+closure check.  No plane motion is kept: a copy of P is its group index
+and a shift (see `covers`).  `LinearMap` is left for naming group
+elements: `TranslationSurface.act_on_face` accepts one, the surface
+dump writes each face's map, and `DihedralGroup.elements` lists them.
 """
 
 from __future__ import annotations
@@ -43,11 +47,6 @@ class RationalAngle:
     @property
     def denominator(self) -> int:
         return self.multiple.denominator
-
-    @property
-    def is_even(self) -> bool:
-        """Even angle: reduced denominator is even."""
-        return self.multiple.denominator % 2 == 0
 
     def cos(self) -> CyclotomicReal:
         return cos_pi(self.multiple)
@@ -95,11 +94,6 @@ class Edge:
         if isinstance(length, (int, Fraction)):
             object.__setattr__(self, "length", embed(length))
 
-    def vector(self) -> planar.Vec:
-        c = self.direction.cos()
-        s = self.direction.sin()
-        return (self.length * c, self.length * s)
-
 
 class Polygon:
     """A simple counterclockwise polygon with rational angles."""
@@ -110,7 +104,6 @@ class Polygon:
         self.edges = tuple(
             e if isinstance(e, Edge) else Edge(*e) for e in edges
         )
-        self._vertices = None
         self._angles = None
         self._key = None
         self._group = None
@@ -121,12 +114,8 @@ class Polygon:
 
     def vertices(self) -> tuple:
         """Vertex i is the start point of edge i; vertex 0 is the origin:
-        the walk along the edges over their own (cos, sin) table."""
-        if self._vertices is None:
-            es = self.edges
-            self._vertices = walk(
-                [(j, j) for j in range(len(es))], [e.length for e in es],
-                [(e.direction.cos(), e.direction.sin()) for e in es])
+        the walk along the edges over their own (cos, sin) table, made
+        once by the closure check."""
         return self._vertices
 
     def group(self) -> "DihedralGroup":
@@ -180,11 +169,15 @@ class Polygon:
         for e in self.edges:
             if e.length.sign() <= 0:
                 raise PolygonError("edge lengths must be positive")
-        # closure
-        total = planar.ORIGIN
-        for e in self.edges:
-            total = planar.vadd(total, e.vector())
-        if not planar.is_zero_vec(total):
+        # closure: the walk's last vertex plus the last side is the
+        # origin, so each side's two products are made once
+        es = self.edges
+        units = [(e.direction.cos(), e.direction.sin()) for e in es]
+        self._vertices = walk([(j, j) for j in range(len(es))],
+                              [e.length for e in es], units)
+        (x, y), (c, sn) = self._vertices[-1], units[-1]
+        if not planar.is_zero_vec((x + es[-1].length * c,
+                                   y + es[-1].length * sn)):
             raise PolygonError("edges do not close up")
         # angles in (0, 2*pi), no straight vertices, total turn +2 (ccw);
         # the turn lies in [-1, 1), and -1 is an edge that turns back
@@ -470,49 +463,3 @@ def side_reflections(P: Polygon, G: DihedralGroup) -> list[int]:
     side's direction base + m/N is its axis, and axes are taken mod 1,
     so that reflection is ref_(m mod N)."""
     return [G.N + m % G.N for m in edge_directions(P, G)]
-
-
-def minus_id_screen(P: Polygon, external_sides=None) -> dict:
-    """Does -Id belong to G_P, and which trigger shows it?
-
-    in_group is true exactly when N is even.  The reason records the
-    strongest trigger: an even vertex angle, an even angle between two
-    committed-external sides (supplied by the caller), or bare even N.
-    """
-    data = angle_data(P)
-    in_group = data["N"] % 2 == 0
-    pair_found = False
-    if external_sides:
-        for i in external_sides:
-            for j in external_sides:
-                if i < j:
-                    diff = (
-                        P.edges[i].direction.multiple
-                        - P.edges[j].direction.multiple
-                    ) % 1
-                    if diff.denominator % 2 == 0:
-                        pair_found = True
-    if pair_found:
-        reason = "external_even_angle_pair"
-    elif any(a.is_even for a in data["angles"]):
-        reason = "even_angle"
-    elif in_group:
-        reason = "even_N"
-    else:
-        reason = "none"
-    return {"in_group": in_group, "reason": reason}
-
-
-# ---------------------------------------------------------------------------
-# plane motions (orthogonal part + translation), used by covers/search
-
-
-@dataclass(frozen=True)
-class Motion:
-    """Affine isometry x -> orth(x) + shift."""
-
-    orth: LinearMap
-    shift: planar.Vec
-
-    def key(self):
-        return (self.orth.kind, self.orth.param, planar.vkey(self.shift))

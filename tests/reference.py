@@ -1,21 +1,35 @@
 """Reference constructions for differential tests.
 
 The program reads D_N's products from group indices, moves lattice
-directions by D_N's integer action, chains copies by the group law,
-places vertices by walking along P's sides, decides whether two
-copies overlap by the sign of integer maps on packed coordinates and
-reduces mod Phi_n by one long division.  The references here compose
-linear maps, move directions by their angle formulas, rotate and
+directions by D_N's integer action, chains copies (g, t) by the group
+law, places vertices by walking along P's sides, decides whether two
+copies overlap by the sign of integer maps on packed coordinates,
+reduces mod Phi_n by one long division and reads -Id in the outline
+group off the parity of N.  The references here compose linear maps
+and motions, move directions by their angle formulas, rotate and
 reflect vectors, chain a word's copies as reflections across lines,
-separate convex polygons by their sides and reduce through dense rows,
-the way the program once did, so tests can compare the two.
+separate convex polygons by their sides, reduce through dense rows and
+screen -Id by pairs of sides, the way the program once did, so tests
+can compare the two.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from flatbilliards import planar
 from flatbilliards.cyclotomic import cos_pi, sin_pi
-from flatbilliards.polygons import LinearMap, Motion
+from flatbilliards.polygons import LinearMap, angle_data
+
+
+@dataclass(frozen=True)
+class Motion:
+    """Affine isometry x -> orth(x) + shift."""
+
+    orth: LinearMap
+    shift: planar.Vec
+
+    def key(self):
+        return (self.orth.kind, self.orth.param, planar.vkey(self.shift))
 
 
 def apply_vec(g: LinearMap, v):
@@ -147,3 +161,34 @@ def reduce_by_rows(c, poly):
         for j in range(phi):
             out[j] += c[phi + k] * rows[k][j]
     return out
+
+
+def minus_id_screen(P, external_sides=None) -> dict:
+    """Does -Id belong to G_P, and which trigger shows it?
+
+    in_group is true exactly when N is even.  The reason records the
+    strongest trigger: an even vertex angle, an even angle between two
+    committed-external sides (supplied by the caller), or bare even N.
+    """
+    data = angle_data(P)
+    in_group = data["N"] % 2 == 0
+    pair_found = False
+    if external_sides:
+        for i in external_sides:
+            for j in external_sides:
+                if i < j:
+                    diff = (
+                        P.edges[i].direction.multiple
+                        - P.edges[j].direction.multiple
+                    ) % 1
+                    if diff.denominator % 2 == 0:
+                        pair_found = True
+    if pair_found:
+        reason = "external_even_angle_pair"
+    elif any(a.denominator % 2 == 0 for a in data["angles"]):
+        reason = "even_angle"
+    elif in_group:
+        reason = "even_N"
+    else:
+        reason = "none"
+    return {"in_group": in_group, "reason": reason}

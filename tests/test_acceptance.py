@@ -28,7 +28,7 @@ from flatbilliards.periodicity import (
 from flatbilliards.polygons import (
     Edge,
     Polygon,
-    minus_id_screen,
+    angle_data,
     triangle_from_angles,
 )
 from flatbilliards.search import search_appropriate
@@ -223,7 +223,7 @@ def test_criterion_4_screen_suite():
         ("10", None),
     ]:
         P = make_entry(fam, n).polygon
-        assert minus_id_screen(P)["in_group"]
+        assert angle_data(P)["N"] % 2 == 0
 
     # every vertex point periodic, certified by the rotation by pi
     # (or by being singular) on representative members
@@ -323,8 +323,8 @@ def test_criterion_6_property_suites():
         P = triangle_from_angles(a, b, c)
         total = P.vertices()[0]
         for e in P.edges:
-            v = e.vector()
-            total = (total[0] + v[0], total[1] + v[1])
+            total = (total[0] + e.length * e.direction.cos(),
+                     total[1] + e.length * e.direction.sin())
         assert (total[0] - P.vertices()[0][0]).is_zero
         assert (total[1] - P.vertices()[0][1]).is_zero
 

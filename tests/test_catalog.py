@@ -9,7 +9,7 @@ from flatbilliards.catalog import (
     make_entry,
     quadrilateral_from_angles,
 )
-from flatbilliards.polygons import angle_data, minus_id_screen
+from flatbilliards.polygons import angle_data
 from flatbilliards.unfolding import unfold
 
 
@@ -123,7 +123,6 @@ def test_even_catalog_members_have_minus_id():
     for fam, n in [("1", 4), ("2", 8), ("3", 4), ("6", 6), ("8", None), ("10", None)]:
         e = make_entry(fam, n)
         assert angle_data(e.polygon)["N"] % 2 == 0
-        assert minus_id_screen(e.polygon)["in_group"]
 
 
 def test_split_direction_fact_reproduces():

@@ -1,6 +1,9 @@
+import functools
 import json
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +15,7 @@ from flatbilliards.covers import (
     _config_key,
     analyze_cover,
     appropriate_verdict,
-    motion_from_word,
-    motions_from_words,
+    copies_from_words,
     tile_by_words,
     tiling_symmetries,
     verify_tiling,
@@ -22,17 +24,28 @@ from flatbilliards.cyclotomic import embed
 from flatbilliards.polygons import (
     Edge,
     LinearMap,
-    Motion,
     Polygon,
     PolygonError,
+    angle_data,
     group_of,
     triangle_from_angles,
 )
 from flatbilliards.unfolding import unfold
-from reference import apply_motion, apply_vec, compose, motion_by_reflections
+from reference import (
+    apply_motion,
+    apply_vec,
+    compose,
+    minus_id_screen,
+    motion_by_reflections,
+)
 
 
-IDENTITY = Motion(LinearMap("rot", 0), planar.ORIGIN)
+IDENTITY = (0, planar.ORIGIN)  # a copy: group index and shift
+
+
+def _copy_key(copy):
+    g, t = copy
+    return g, planar.vkey(t)
 
 
 def square():
@@ -187,10 +200,10 @@ def test_unbranched_preimage_multiplier_one():
 
 def test_word_motions():
     P = triangle_from_angles(*P5)
-    assert motion_from_word(P, []).key() == IDENTITY.key()
-    m = motion_from_word(P, [0])
-    assert m.orth.det == -1
-    assert motion_from_word(P, [0, 0]).key() == IDENTITY.key()
+    empty, once, twice = copies_from_words(P, [[], [0], [0, 0]])
+    assert _copy_key(empty) == _copy_key(IDENTITY)
+    assert once[0] >= P.group().N  # a reflection
+    assert _copy_key(twice) == _copy_key(IDENTITY)
 
 
 def test_rejects_overlapping_copies():
@@ -201,7 +214,7 @@ def test_rejects_overlapping_copies():
     assert P.angles()[1].multiple == F(3, 10)
     words = fan_words(7, 0, 1)
     assert tile_by_words(P, words[:6]).n_copies == 6
-    assert len({motion_from_word(P, w).key() for w in words}) == 7
+    assert len({_copy_key(c) for c in copies_from_words(P, words)}) == 7
     with pytest.raises(
         CoverError, match="copies overlap or cross: outline is not a simple"
     ):
@@ -232,33 +245,36 @@ def test_rejects_coinciding_copies():
 
 def test_rejects_disconnected_union():
     sq = square()
-    far = Motion(LinearMap("rot", 0), (embed(5), embed(0)))
+    far = (0, (embed(5), embed(0)))
     with pytest.raises(CoverError, match="disconnected"):
         verify_tiling(sq, [IDENTITY, far])
 
 
 def test_rejects_translation_as_adjacency():
     sq = square()
-    shifted = Motion(LinearMap("rot", 0), (embed(1), embed(0)))
+    shifted = (0, (embed(1), embed(0)))
     with pytest.raises(CoverError, match="mirror"):
         verify_tiling(sq, [IDENTITY, shifted])
 
 
 def test_rejects_partial_side_sharing():
     sq = square()
-    half_up = Motion(
-        LinearMap("ref", F(1, 2)), (embed(2), embed(F(1, 2)))
-    )
+    half_up = (sq.group().index_of(LinearMap("ref", F(1, 2))),
+               (embed(2), embed(F(1, 2))))
     # a side shared in part is no shared side, so nothing joins the two
     with pytest.raises(CoverError, match="disconnected"):
         verify_tiling(sq, [IDENTITY, half_up])
 
 
-def test_rejects_orthogonal_part_outside_group():
+def test_rejects_group_index_out_of_range():
+    # D_2 of the square has indices 0..3; any iterable of copies is read
     sq = square()
-    bad = Motion(LinearMap("rot", F(1, 3)), (embed(0), embed(0)))
-    with pytest.raises(CoverError, match="reflection group"):
-        verify_tiling(sq, [IDENTITY, bad])
+    for bad in (-1, 4, 7):
+        with pytest.raises(CoverError, match=r"group index -?\d+ is outside "
+                           r"0\.\.3, the base polygon's reflection group"):
+            verify_tiling(sq, [IDENTITY, (bad, (embed(0), embed(0)))])
+    copies = copies_from_words(sq, [[], [1]])
+    assert verify_tiling(sq, iter(copies)).indices == (0, copies[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +320,12 @@ def _reference_pairwise_refusal(P, motions):
 def _grown_words(P, rng, count):
     """Reflection-grown words: each new copy mirrors an earlier one
     across one of its sides, so the union is connected; copies may
-    overlap, and no two have the same motion."""
-    words, seen = [[]], {IDENTITY.key()}
+    overlap, and no two are the same copy."""
+    words, seen = [[]], {_copy_key(IDENTITY)}
     while len(words) < count:
         last = words[-1] if rng.random() < 0.5 else rng.choice(words)
         w = last + [rng.randrange(len(P.edges))]
-        key = motion_from_word(P, w).key()
+        key = _copy_key(copies_from_words(P, [w])[0])
         if key not in seen:
             seen.add(key)
             words.append(w)
@@ -344,9 +360,10 @@ def test_outline_argument_agrees_with_the_pairwise_rule():
         P = make_entry(family, n).polygon
         for _ in range(8):
             words = _grown_words(P, rng, rng.randint(1, 9))
-            motions = motions_from_words(P, words)
+            # the pairwise rule places copies by reflections across lines
+            motions = [motion_by_reflections(P, w) for w in words]
             try:
-                t = verify_tiling(P, motions)
+                t = verify_tiling(P, copies_from_words(P, words))
             except CoverError as exc:
                 if "copies overlap or cross" in str(exc):
                     # refusals that the pairwise rule gave before
@@ -411,19 +428,22 @@ COVERS_BASES = [("2", 5), ("2", 8), ("10", None), ("5a", None)]
 
 
 def test_word_motions_match_reflection_chains():
-    # copies placed by D_N's law on indices and one shift per step give
-    # the motion that chaining reflections across lines gives
+    # copies (g, t) placed by D_N's law on indices and one shift per
+    # step give the motion that chaining reflections across lines gives
     rng = random.Random(19)
     for family, n in COVERS_BASES:
         P = make_entry(family, n).polygon
+        G = P.group()
         k = len(P.edges)
         words = [[rng.randrange(k) for _ in range(rng.randint(0, 9))]
                  for _ in range(25)]
-        got = motions_from_words(P, words)
-        assert [m.key() for m in got] == [
-            motion_by_reflections(P, w).key() for w in words
+        got = copies_from_words(P, words)
+        assert [_copy_key(c) for c in got] == [
+            (G.index_of(m.orth), planar.vkey(m.shift))
+            for m in (motion_by_reflections(P, w) for w in words)
         ]
-        assert motion_from_word(P, words[-1]).key() == got[-1].key()
+        assert _copy_key(copies_from_words(P, words[-1:])[0]) == _copy_key(
+            got[-1])
 
 
 def _tilings():
@@ -468,14 +488,12 @@ def test_image_classes_read_from_the_corner_table():
     for t in _tilings():
         M_P, M_Q = unfold(t.base), unfold(t.outline)
         G = M_P.group
-        assert [G.index_of(mo.orth) for mo in t.motions] == list(t.indices)
         for face in M_Q.faces:
             h = G.index_of(face.gmap)
-            for c, mo in enumerate(t.motions):
+            for g in t.indices:
                 for v in range(M_P.k):
-                    assert covers._image_class(
-                        M_P, h, t.indices[c], v
-                    ) == reference(M_P, face.gmap, mo.orth, v)
+                    assert covers._image_class(M_P, h, g, v) == reference(
+                        M_P, face.gmap, G.element(g), v)
                     checked += 1
     assert checked > 1000
 
@@ -509,6 +527,80 @@ def test_outline_group_read_as_base_indices():
         )
     # subgroups of index 1 and 2, with and without a turned axis
     assert {(1, 0), (2, 0), (2, 1)} <= shapes and single >= 5
+
+
+# every catalog family over a range of n
+CATALOG_RANGES = [
+    ("1", range(3, 13)), ("2", range(4, 15)), ("3", range(3, 13)),
+    ("4", range(5, 13)), ("6", range(4, 13)), ("9a", (7, 9, 11)),
+    ("9b", (5, 7, 9)), ("5a", [None]), ("5b", [None]), ("5c", [None]),
+    ("7", [None]), ("8", [None]), ("10", [None]),
+]
+
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+
+
+@functools.lru_cache(maxsize=None)
+def _benchmark_analyses():
+    """The cover analyses of the benchmark's check-cover requests that
+    are valid, seeds 1 and 2."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(PERFBENCH)
+    out = []
+    for seed in (1, 2):
+        for requests in workloads.Covers(seed).sets:
+            for _, _, expect in requests:
+                try:
+                    t = tile_by_words(expect["base"], expect["words"])
+                except CoverError:
+                    continue
+                out.append(analyze_cover(t))
+    return tuple(out)
+
+
+def _screen(P):
+    return minus_id_screen(P, external_sides=range(len(P.edges)))
+
+
+def test_minus_id_screen_reason_is_the_parity_of_N():
+    # the screen the verdict once ran, with every side of the polygon
+    # external, names an even angle between two sides exactly when N is
+    # even and no trigger otherwise: on the catalog and on the outlines
+    # of the benchmark's check-cover requests
+    polygons = [make_entry(f, n).polygon for f, ns in CATALOG_RANGES
+                for n in ns]
+    polygons += [a.tiling.outline for a in _benchmark_analyses()]
+    parities = set()
+    for P in polygons:
+        N = angle_data(P)["N"]
+        assert _screen(P) == {
+            "in_group": N % 2 == 0,
+            "reason": "none" if N % 2 else "external_even_angle_pair",
+        }
+        parities.add(N % 2)
+    assert parities == {0, 1}
+
+
+def test_verdict_names_minus_id_where_the_screen_did():
+    # the verdict reads the parity of N_Q; it names -Id in the outline
+    # group exactly when that screen did, with the screen's reason
+    analyses = _benchmark_analyses()
+    for a in analyses:
+        screen = _screen(a.tiling.outline)
+        statuses = {c.class_id: "non_periodic"
+                    for c in a.base_surface.cone_points()}
+        named = [r for r in appropriate_verdict(a, statuses)["reasons"]
+                 if r.startswith("rotation by pi")]
+        assert named == (
+            [f"rotation by pi in outline group ({screen['reason']})"]
+            if screen["in_group"] else [])
+        assert bool(named) == (a.N_Q % 2 == 0)
+    assert len(analyses) >= 90
+    assert {a.N_Q % 2 for a in analyses} == {0, 1}
 
 
 def _rectilinear(points):

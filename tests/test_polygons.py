@@ -4,7 +4,7 @@ import pytest
 
 from flatbilliards import cyclotomic as cy
 from flatbilliards import planar
-from flatbilliards.covers import motion_from_word
+from flatbilliards.covers import copies_from_words
 from flatbilliards.polygons import (
     DihedralGroup,
     Edge,
@@ -14,11 +14,18 @@ from flatbilliards.polygons import (
     RationalAngle,
     angle_data,
     group_of,
-    minus_id_screen,
     side_reflections,
     triangle_from_angles,
 )
-from reference import apply_angle, apply_motion, apply_vec, compose, inverse
+from reference import (
+    Motion,
+    apply_angle,
+    apply_motion,
+    apply_vec,
+    compose,
+    inverse,
+    motion_by_reflections,
+)
 
 
 def square(side=1):
@@ -75,7 +82,8 @@ def test_closure_exact():
     t = triangle_from_angles(F(1, 2), F(1, 8), F(3, 8))
     total = planar.ORIGIN
     for e in t.edges:
-        total = planar.vadd(total, e.vector())
+        c, s = e.direction.cos(), e.direction.sin()
+        total = planar.vadd(total, (e.length * c, e.length * s))
     assert planar.is_zero_vec(total)
 
 
@@ -88,31 +96,6 @@ def test_angle_data():
     assert d["N"] == 15 and d["group_order"] == 30
     d = angle_data(square())
     assert d["N"] == 2 and d["group_order"] == 4
-
-
-def test_minus_id_screen():
-    t = triangle_from_angles(F(1, 2), F(1, 8), F(3, 8))
-    r = minus_id_screen(t)
-    assert r["in_group"] is True
-    t = triangle_from_angles(F(1, 5), F(1, 3), F(7, 15))
-    r = minus_id_screen(t)
-    assert r["in_group"] is False and r["reason"] == "none"
-    t = triangle_from_angles(F(1, 12), F(1, 3), F(7, 12))
-    r = minus_id_screen(t)
-    assert r["in_group"] is True and r["reason"] == "even_angle"
-
-
-def test_minus_id_external_pair():
-    # two sides of the equilateral triangle meet at pi/3 (odd), so the
-    # pair trigger must not fire; N is odd anyway
-    t = triangle_from_angles(F(1, 3), F(1, 3), F(1, 3))
-    r = minus_id_screen(t, external_sides=[0, 1, 2])
-    assert r["in_group"] is False and r["reason"] == "none"
-    # right triangle: the two legs meet at pi/2, an even angle
-    t = triangle_from_angles(F(1, 2), F(1, 8), F(3, 8))
-    r = minus_id_screen(t, external_sides=[1, 2])
-    assert r["in_group"] is True
-    assert r["reason"] == "external_even_angle_pair"
 
 
 def test_simplicity_rejects_bowtie():
@@ -219,8 +202,12 @@ def test_group_of_uses_edge_directions():
 
 
 def test_motion_reflection_across_line():
-    # the unit square reflected across its side 2, the line y=1
-    m = motion_from_word(square(), [2])
+    # the unit square reflected across its side 2, the line y=1: the
+    # copy (g, t) read as a motion is the reflection across that line
+    sq = square()
+    ((g, t),) = copies_from_words(sq, [[2]])
+    m = Motion(sq.group().element(g), t)
+    assert m.key() == motion_by_reflections(sq, [2]).key()
     p = (cy.embed(3), cy.embed(0))
     assert planar.veq(apply_motion(m, p), (cy.embed(3), cy.embed(2)))
     # involution
@@ -230,8 +217,11 @@ def test_motion_reflection_across_line():
 def test_reflection_preserves_polygon_shape():
     t = triangle_from_angles(F(1, 5), F(1, 3), F(7, 15))
     pts = t.vertices()
-    m = motion_from_word(t, [0])  # across the line of side 0
-    image = [apply_motion(m, p) for p in pts]
+    ((g, shift),) = copies_from_words(t, [[0]])  # across side 0's line
+    image = [planar.vadd(p, shift) for p in t.row(g)]
+    m = motion_by_reflections(t, [0])
+    assert [planar.vkey(p) for p in image] == [
+        planar.vkey(apply_motion(m, p)) for p in pts]
     # side lengths preserved as a multiset
     def side_lengths(ps):
         k = len(ps)

@@ -7,7 +7,7 @@ import pytest
 
 from flatbilliards import periodicity
 from flatbilliards.catalog import make_entry
-from flatbilliards.covers import analyze_cover, motion_from_word, tile_by_words
+from flatbilliards.covers import analyze_cover, tile_by_words
 from flatbilliards.periodicity import classify_point, default_directions
 from flatbilliards import planar
 from flatbilliards.cyclotomic import CyclotomicReal, cos_pi
@@ -221,7 +221,7 @@ def test_packed_vertex_keys_match_exact_positions(family, n):
     for words in lists:
         packed, exact = [], []
         for c, w in zip(node_from_words(searcher, words).copies, words):
-            motion = motion_from_word(e.polygon, w)
+            motion = motion_by_reflections(e.polygon, w)
             packed += c.vkeys
             exact += [vkey(apply_motion(motion, v))
                       for v in e.polygon.vertices()]

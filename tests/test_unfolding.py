@@ -145,13 +145,13 @@ def test_area():
 
 
 def test_vertices_are_placed_once_on_first_read(monkeypatch):
-    # the surface is its gluing: unfolding it, its genus and its cone
-    # points place no vertex.  P's own vertices are one walk over its
-    # edges' table.  Each direction walks its own chart and no face of
-    # the surface.  The first reader of coordinates walks each face g.P
-    # once; the surface dump and the search's vertex table then walk
-    # none
-    e = make_entry("2", 5)
+    # P's own vertices are one walk over its edges' table, made once,
+    # by the closure check when P is built; reading them walks again
+    # nowhere.  The surface is its gluing: unfolding it, its genus and
+    # its cone points place no vertex.  Each direction walks its own
+    # chart and no face of the surface.  The first reader of
+    # coordinates walks each face g.P once; the surface dump and the
+    # search's vertex table then walk none
     tables = []
     walk = polygons.walk
 
@@ -161,11 +161,12 @@ def test_vertices_are_placed_once_on_first_read(monkeypatch):
 
     monkeypatch.setattr(polygons, "walk", counted)
     monkeypatch.setattr(flow, "walk", counted)
+    e = make_entry("2", 5)
+    assert len(tables) == 1
+    e.polygon.vertices()
     M = unfold(e.polygon)
     M.genus()
     M.cone_points()
-    assert tables == []
-    e.polygon.vertices()
     assert len(tables) == 1
     faces = len(M.faces)
     for th in (F(1, 10), F(3, 10)):
