@@ -5,12 +5,15 @@ root of unity) over a common denominator, reduced modulo the n-th
 cyclotomic polynomial Phi_n: exponents fold mod n, since zeta_n**n = 1,
 then a long division by Phi_n's nonzero terms (`_kernel.remainder`)
 leaves phi(n) coefficients.  Only values fixed by complex conjugation (real
-values) are allowed through the public constructors.  Equality is
-exact.  Signs, intervals, floats and decimals come from one integer
-enclosure: at precision p, sum c_j*C_j with each integer C_j less than
-2 units below 2**p*cos(2*pi*j/n) (midpoint-radius arithmetic, as in
-Johansson's Arb).  A sign doubles p until the enclosure excludes 0, so
-no result depends on floating point.
+values) are allowed through the public constructors.  Each sum,
+difference, negation and product is built once, in the stored form
+(`_stored`), at the lcm of its operands' conductors: a difference
+combines the coefficients directly, and operands over one denominator
+add with no scaling.  Equality is exact.  Signs, intervals, floats and
+decimals come from one integer enclosure: at precision p, sum c_j*C_j
+with each integer C_j less than 2 units below 2**p*cos(2*pi*j/n)
+(midpoint-radius arithmetic, as in Johansson's Arb).  A sign doubles p
+until the enclosure excludes 0, so no result depends on floating point.
 
 The canonical form of a value (`key()`) is its power basis form at the
 smallest conductor whose field holds it, over a positive denominator
@@ -217,7 +220,15 @@ class CyclotomicReal:
 
     Internal form: (num, den) where num is a tuple of ints of length
     phi(n) giving the numerator polynomial in zeta_n, reduced mod the
-    n-th cyclotomic polynomial, and den is a positive int.
+    n-th cyclotomic polynomial, and den is a positive int prime to them.
+    At a given n this form is unique.
+
+    perfbench/tracing.py wraps __mul__, __rmul__, sign, inverse and key
+    on this class, and _eval_interval and _kernel.mul_reduced on their
+    modules.  It sees only calls made through those class or module
+    attributes: a product is made only by __mul__, which calls
+    _kernel.mul_reduced by its module attribute when phi(n) > 1, and a
+    sum or difference calls neither.
     """
 
     __slots__ = ("n", "num", "den", "_key")
@@ -232,6 +243,13 @@ class CyclotomicReal:
         ctx = _context(n)
         if len(num) != ctx.phi:
             num = ctx.reduce(num)
+        self._store(n, num, den)
+        if not _trusted and not self._is_conjugation_fixed():
+            raise ExactError("value is not real (not fixed by conjugation)")
+
+    def _store(self, n: int, num, den: int) -> "CyclotomicReal":
+        """Fill in the stored form from phi(n) reduced coefficients over
+        den > 0: the gcd is divided out, and nothing else is checked."""
         g = math.gcd(*num, den)
         if g > 1:
             num = [c // g for c in num]
@@ -240,15 +258,14 @@ class CyclotomicReal:
         self.num = tuple(num)
         self.den = den
         self._key = None
-        if not _trusted and not self._is_conjugation_fixed():
-            raise ExactError("value is not real (not fixed by conjugation)")
+        return self
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rational(cls, q) -> "CyclotomicReal":
         q = Fraction(q)
-        return cls(1, [q.numerator], q.denominator, _trusted=True)
+        return _stored(1, [q.numerator], q.denominator)
 
     # -- representation helpers --------------------------------------------
 
@@ -273,7 +290,7 @@ class CyclotomicReal:
         coeffs = [0] * ((len(self.num) - 1) * step + 1)
         for j, c in enumerate(self.num):
             coeffs[j * step] = c
-        return CyclotomicReal(m, ctx.reduce(coeffs), self.den, _trusted=True)
+        return _stored(m, ctx.reduce(coeffs), self.den)
 
     @property
     def is_zero(self) -> bool:
@@ -288,7 +305,7 @@ class CyclotomicReal:
                 if down is None:
                     break
                 n, num = n // p, down
-        return CyclotomicReal(n, num, self.den, _trusted=True)
+        return _stored(n, num, self.den)
 
     def key(self):
         """Canonical hashable key: equal values share equal keys."""
@@ -299,7 +316,7 @@ class CyclotomicReal:
 
     def canonical(self) -> "CyclotomicReal":
         key = self.key()
-        out = CyclotomicReal(*key, _trusted=True)
+        out = _stored(*key)
         out._key = key
         return out
 
@@ -314,36 +331,47 @@ class CyclotomicReal:
         return None
 
     def _aligned(self, other: "CyclotomicReal"):
+        if self.n == other.n:
+            return self, other
         n = self.n * other.n // math.gcd(self.n, other.n)
         return self.lift(n), other.lift(n)
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign*other (sign 1 or -1), built once at the lcm of the
+        conductors, with no scaling when the denominators agree."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self._aligned(other)
-        den = a.den * b.den // math.gcd(a.den, b.den)
-        fa = den // a.den
-        fb = den // b.den
-        num = [x * fa + y * fb for x, y in zip(a.num, b.num)]
-        return CyclotomicReal(a.n, num, den, _trusted=True)
+        if a.den == b.den:
+            den = a.den
+            if sign > 0:
+                num = [x + y for x, y in zip(a.num, b.num)]
+            else:
+                num = [x - y for x, y in zip(a.num, b.num)]
+        else:
+            den = math.lcm(a.den, b.den)
+            fa = den // a.den
+            fb = sign * (den // b.den)
+            num = [x * fa + y * fb for x, y in zip(a.num, b.num)]
+        return _stored(a.n, num, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicReal(self.n, [-c for c in self.num], self.den, _trusted=True)
+        return _stored(self.n, [-c for c in self.num], self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._combine(self, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -353,11 +381,12 @@ class CyclotomicReal:
         ctx = _context(a.n)
         if ctx.phi == 1:
             num = [a.num[0] * b.num[0]]
-            return CyclotomicReal(a.n, num, a.den * b.den, _trusted=True)
-        # call through the module attribute: perfbench/tracing.py wraps
-        # _kernel.mul_reduced there and sees no call bound to a local name
-        num = _kernel.mul_reduced(a.num, b.num, ctx.n, ctx.phi, ctx.terms)
-        return CyclotomicReal(a.n, num, a.den * b.den, _trusted=True)
+        else:
+            # call through the module attribute: perfbench/tracing.py
+            # wraps _kernel.mul_reduced there and sees no call bound to a
+            # local name
+            num = _kernel.mul_reduced(a.num, b.num, ctx.n, ctx.phi, ctx.terms)
+        return _stored(a.n, num, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -371,7 +400,7 @@ class CyclotomicReal:
         sol = _solve_unit_system(cols)
         den = math.lcm(*(s.denominator for s in sol))
         num = [int(s * den) * c.den for s in sol]
-        return CyclotomicReal(c.n, num, den, _trusted=True).lift(self.n)
+        return _stored(c.n, num, den).lift(self.n)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -415,7 +444,9 @@ class CyclotomicReal:
         return not eq
 
     def __hash__(self):
-        return hash(self.key())
+        # a value equal to an int or Fraction must hash as it does
+        q = self.as_rational()
+        return hash(self.key()) if q is None else hash(q)
 
     def interval(self, precision_bits: int = _MIN_PREC) -> Interval:
         s, err = _eval_interval(self.n, self.num, self.den, precision_bits)
@@ -510,6 +541,13 @@ class CyclotomicReal:
         return c.n, [f"{x}/{c.den}" if c.den != 1 else str(x) for x in c.num]
 
 
+def _stored(n: int, num, den: int) -> CyclotomicReal:
+    """The value with phi(n) coefficients num, already reduced mod Phi_n,
+    over den > 0: no copy, reduction or conjugation check, only the gcd
+    divided out.  Every arithmetic result is built here, once."""
+    return object.__new__(CyclotomicReal)._store(n, num, den)
+
+
 def _solve_unit_system(cols) -> list[Fraction]:
     """Solve sum_j x_j*cols[j] = e_0 for a nonsingular square system.
 
@@ -564,7 +602,7 @@ def cos_pi(q) -> CyclotomicReal:
     coeffs = [0] * c
     coeffs[m % c] += 1
     coeffs[(-m) % c] += 1
-    value = CyclotomicReal(c, ctx.reduce(coeffs), 2, _trusted=True)
+    value = _stored(c, ctx.reduce(coeffs), 2)
     _TRIG_CACHE[q] = value
     return value
 

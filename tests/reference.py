@@ -4,20 +4,23 @@ The program reads D_N's products from group indices, moves lattice
 directions by D_N's integer action, chains copies (g, t) by the group
 law, places vertices by walking along P's sides, decides whether two
 copies overlap by the sign of integer maps on packed coordinates,
-reduces mod Phi_n by one long division and reads -Id in the outline
-group off the parity of N.  The references here compose linear maps
+reduces mod Phi_n by one long division, builds each exact sum,
+difference, negation and product once in its stored form and reads -Id
+in the outline group off the parity of N.  The references here compose linear maps
 and motions, move directions by their angle formulas, rotate and
 reflect vectors, chain a word's copies as reflections across lines,
-separate convex polygons by their sides, reduce through dense rows and
-screen -Id by pairs of sides, the way the program once did, so tests
-can compare the two.
+separate convex polygons by their sides, reduce through dense rows,
+do exact arithmetic through the public constructor (a difference as
+a + (-b)) and screen -Id by pairs of sides, the way the program once
+did, so tests can compare the two.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from flatbilliards import planar
-from flatbilliards.cyclotomic import cos_pi, sin_pi
+from flatbilliards import _kernel, planar
+from flatbilliards.cyclotomic import CyclotomicReal, cos_pi, sin_pi
 from flatbilliards.polygons import LinearMap, angle_data
 
 
@@ -161,6 +164,55 @@ def reduce_by_rows(c, poly):
         for j in range(phi):
             out[j] += c[phi + k] * rows[k][j]
     return out
+
+
+def _exact(x) -> CyclotomicReal:
+    if isinstance(x, CyclotomicReal):
+        return x
+    q = Fraction(x)
+    return CyclotomicReal(1, [q.numerator], q.denominator, _trusted=True)
+
+
+def _lift(x: CyclotomicReal, m: int) -> CyclotomicReal:
+    step = m // x.n
+    coeffs = [0] * ((len(x.num) - 1) * step + 1)
+    for j, c in enumerate(x.num):
+        coeffs[j * step] = c
+    return CyclotomicReal(m, coeffs, x.den, _trusted=True)
+
+
+def _aligned(a, b):
+    a, b = _exact(a), _exact(b)
+    n = math.lcm(a.n, b.n)
+    return _lift(a, n), _lift(b, n)
+
+
+def exact_add(a, b) -> CyclotomicReal:
+    """a + b: both lifted to the lcm of their conductors, their
+    numerators scaled to the lcm of their denominators."""
+    a, b = _aligned(a, b)
+    den = a.den * b.den // math.gcd(a.den, b.den)
+    fa = den // a.den
+    fb = den // b.den
+    num = [x * fa + y * fb for x, y in zip(a.num, b.num)]
+    return CyclotomicReal(a.n, num, den, _trusted=True)
+
+
+def exact_neg(a) -> CyclotomicReal:
+    a = _exact(a)
+    return CyclotomicReal(a.n, [-c for c in a.num], a.den, _trusted=True)
+
+
+def exact_sub(a, b) -> CyclotomicReal:
+    """a - b as a + (-b)."""
+    return exact_add(a, exact_neg(b))
+
+
+def exact_mul(a, b) -> CyclotomicReal:
+    """a * b: the full product, reduced by the constructor."""
+    a, b = _aligned(a, b)
+    num = _kernel.convolve(a.num, b.num)
+    return CyclotomicReal(a.n, num, a.den * b.den, _trusted=True)
 
 
 def minus_id_screen(P, external_sides=None) -> dict:

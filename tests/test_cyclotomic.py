@@ -7,13 +7,13 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatbilliards import _kernel
 from flatbilliards import cyclotomic as cy
 from flatbilliards import fileio
-from reference import reduce_by_rows
+from reference import exact_add, exact_mul, exact_neg, exact_sub, reduce_by_rows
 
 
 def test_cos_pi_third_is_half():
@@ -419,3 +419,93 @@ def test_is_rational_consistent(x):
     q = cy.is_rational(x)
     if q is not None:
         assert cy.compare(x, cy.embed(q)) == "equal"
+
+
+def _assert_stored(x):
+    assert type(x.num) is tuple and len(x.num) == cy.totient(x.n)
+    assert x.den > 0 and math.gcd(*x.num, x.den) == 1
+
+
+@st.composite
+def mixed_values(draw):
+    # up to two trig terms at their own conductors plus a rational, over
+    # small denominators, so that sums often meet equal denominators
+    x = cy.embed(draw(st.fractions(-2, 2, max_denominator=4)))
+    for _ in range(draw(st.integers(0, 2))):
+        q = draw(st.fractions(min_value=0, max_value=2, max_denominator=12))
+        c = draw(st.fractions(-3, 3, max_denominator=3))
+        x = x + c * cy.cos_pi(q)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mixed_values(),
+    st.one_of(
+        mixed_values(),
+        st.integers(-3, 3),
+        st.fractions(-2, 2, max_denominator=4),
+    ),
+)
+@example(cy.embed(F(1, 2)), cy.embed(F(1, 2)))
+@example(cy.embed(F(1, 2)), F(1, 2))
+@example(cy.cos_pi(F(2, 5)), F(1, 3))
+@example(cy.cos_pi(F(2, 5)), 2)
+@example(cy.cos_pi(F(1, 5)) / 2, cy.cos_pi(F(1, 7)) / 2)
+def test_arithmetic_matches_the_public_constructor(x, y):
+    # each operator gives the parent's (n, num, den): int and Fraction
+    # operands on either side, a - a, and a gcd above 1 (1/2 + 1/2)
+    cases = [
+        (x + y, exact_add(x, y)),
+        (y + x, exact_add(y, x)),
+        (x - y, exact_sub(x, y)),
+        (y - x, exact_sub(y, x)),
+        (x * y, exact_mul(x, y)),
+        (y * x, exact_mul(y, x)),
+        (-x, exact_neg(x)),
+        (x - x, exact_sub(x, x)),
+        (x + x, exact_add(x, x)),
+    ]
+    for got, want in cases:
+        assert (got.n, got.num, got.den) == (want.n, want.num, want.den)
+        _assert_stored(got)
+    assert (x - x).is_zero
+
+
+def test_rational_values_hash_as_their_rationals():
+    cases = [
+        (cy.embed(F(1, 2)), F(1, 2)),
+        (cy.cos_pi(F(1, 3)), F(1, 2)),
+        (cy.embed(2), 2),
+    ]
+    for x, q in cases:
+        assert x == q and hash(x) == hash(q)
+        assert x in {q} and q in {x}
+    # an irrational value hashes by its key, at any conductor it is held at
+    x = cy.sin_pi(F(1, 4))
+    assert x.lift(24) in {x} and x in {x.lift(24)}
+
+
+def test_products_reach_the_traced_names(monkeypatch):
+    # perfbench/tracing.py counts products by wrapping these two names;
+    # a sum or difference must call neither
+    calls = {"mul": 0, "kernel": 0}
+    mul, kernel = cy.CyclotomicReal.__mul__, _kernel.mul_reduced
+
+    def counted_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
+
+    def counted_kernel(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(cy.CyclotomicReal, "__mul__", counted_mul)
+    monkeypatch.setattr(cy._kernel, "mul_reduced", counted_kernel)
+    a = cy.cos_pi(F(2, 5)).canonical()
+    b = cy.cos_pi(F(4, 5)).canonical()
+    assert a.n == b.n == 5
+    a + b, a - b, b - a, -a, 1 - a, a + F(1, 3)
+    assert calls == {"mul": 0, "kernel": 0}
+    a * b
+    assert calls == {"mul": 1, "kernel": 1}
