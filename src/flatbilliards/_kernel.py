@@ -7,11 +7,9 @@ lower terms (j, a), a the coefficient of x**j (Phi_n is monic): a list
 longer than n is first folded mod x**n - 1, which Phi_n divides, then
 long-divided by Phi_n.  No table beyond those terms is kept.
 
-perfbench/tracing.py wraps mul_reduced on this module, and sees only
-calls made through the module attribute (`_kernel.mul_reduced`), the
-way cyclotomic.py calls it; a name imported or bound locally escapes
-it.  The other names it wraps are CyclotomicReal's __mul__, __rmul__,
-sign, inverse and key, and cyclotomic._eval_interval.
+Call mul_reduced through the module attribute (`_kernel.mul_reduced`),
+never by a name imported or bound locally: the benchmark tracer wraps
+it there (see the CyclotomicReal docstring).
 """
 
 KERNEL = "python"

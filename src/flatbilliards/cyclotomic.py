@@ -205,7 +205,7 @@ def _cos_floors(n: int, phi: int, prec: int) -> list[int]:
 
 def _eval_interval(n: int, num: tuple[int, ...], den: int, prec: int) -> tuple:
     """(s, err): value * den * 2**prec lies in [s - err, s + err].  Call it
-    by its module name: perfbench/tracing.py wraps it there."""
+    by its module name (see the CyclotomicReal docstring)."""
     cosines = _cos_floors(n, len(num), prec)
     s = sum(c * C for c, C in zip(num, cosines))
     return s, 2 * sum(abs(c) for c in num[1:])
@@ -382,9 +382,7 @@ class CyclotomicReal:
         if ctx.phi == 1:
             num = [a.num[0] * b.num[0]]
         else:
-            # call through the module attribute: perfbench/tracing.py
-            # wraps _kernel.mul_reduced there and sees no call bound to a
-            # local name
+            # through the module attribute (see the class docstring)
             num = _kernel.mul_reduced(a.num, b.num, ctx.n, ctx.phi, ctx.terms)
         return _stored(a.n, num, a.den * b.den)
 
