@@ -7,7 +7,7 @@ height is its y.  Separatrices are traced face by face; a ray leaves a
 face where a side's ends straddle its y, at x offset by the cotangent
 c/s of the side's pair (none for s = 0, a side parallel to the flow),
 inverted once per decomposition.  Which corners a direction leaves
-from (`_corner_mode`) is read from rational angles alone.  When every
+from (`_corner_modes`) is read from rational angles alone.  When every
 separatrix closes up, the faces are cut along them and the pieces
 glued into cylinders with exact heights and circumferences.  A
 circumference is read off the cylinder's horizontal bottom boundary,
@@ -178,21 +178,33 @@ def _check_degree(M: TranslationSurface, theta: Fraction) -> int:
 # tracing
 
 
-def _corner_mode(M: TranslationSurface, corner, theta: Fraction):
-    """How direction theta leaves this corner: 'ray', 'edge', or None.
+def _corner_modes(M: TranslationSurface, theta: Fraction) -> dict:
+    """How direction theta leaves each corner: 'ray', 'edge', or None.
 
     x = (theta - direction of the outgoing side) mod 2 is the angle
     from the outgoing side, counterclockwise into the face: 'edge' at
     x = 0, 'ray' while x is below the corner's angle.  Directions along
     the incoming side belong to a different corner of the same class.
+    In units of pi/N a side's direction is base + m, m its lattice
+    index, and every angle an integer A, so with y = (theta - base) N,
+    x N lies in [i, i + 1) for the integer i = (floor(y) - m) mod 2N:
+    x is 0 when y and i are, and below A exactly when i is.
     """
-    fi, p = corner
-    face = M.faces[fi]
-    x = (theta - face.sides[p].direction) % 2
-    if x == 0:
-        return "edge"
-    ang = M.polygon.angles()[face.source_vertex[p]].multiple
-    return "ray" if x < ang else None
+    N = M.N
+    y = (theta - M.group.base_axis) * N
+    q, whole = y.numerator // y.denominator, y.denominator == 1
+    A = [int(a.multiple * N) for a in M.polygon.angles()]
+    modes = {}
+    for fi, face in enumerate(M.faces):
+        for p, side in enumerate(face.sides):
+            i = (q - side.lattice) % (2 * N)
+            if whole and i == 0:
+                modes[fi, p] = "edge"
+            elif i < A[face.source_vertex[p]]:
+                modes[fi, p] = "ray"
+            else:
+                modes[fi, p] = None
+    return modes
 
 
 class _Chart:
@@ -205,6 +217,7 @@ class _Chart:
         self.theta = theta
         self.n = n
         self.turned = _turned(M, theta)
+        self.modes = _corner_modes(M, theta)
         half = [(c.lift(n), s.lift(n)) for c, s in self.turned]
         self.table = half + [(-c, -s) for c, s in half]
         lengths = [e.length.lift(n) for e in M.polygon.edges]
@@ -287,10 +300,7 @@ class _Chart:
             cls = M.class_of_corner(corner)
             if not first and cls.class_id in self.stop_ids:
                 return chords, edges, cls.class_id
-            owners = [
-                (c, _corner_mode(M, c, self.theta))
-                for c in sorted(cls.corners)
-            ]
+            owners = [(c, self.modes[c]) for c in sorted(cls.corners)]
             owners = [(c, m) for c, m in owners if m is not None]
             if first:
                 # the caller chose a specific corner; it must own theta
@@ -364,8 +374,7 @@ def cylinder_decomposition(
     chart = _Chart(M, theta, n, stop_ids, bound2)
     for cls in sources:
         for corner in sorted(cls.corners):
-            mode = _corner_mode(M, corner, theta)
-            if mode is None:
+            if chart.modes[corner] is None:
                 continue
             chords, edges, _end = chart.trace(corner)
             for ch in chords:

@@ -28,10 +28,12 @@ Pruning rules are tagged and counted:
 - sound subtree prunes (a corner angle that can no longer be completed,
   a geometrically locked even angle or locked branching over a
   periodic point, two locked branch points, a pinched gap);
-- the forced closure (`_Search.forced_prune`): add the copies that
-  every completion must hold, and prune when they need more than
-  max_copies copies, reach a point that must grow but cannot, or push a
-  corner count past every allowed one;
+- the forced closure (`_Search.forced_prune`): bound the copies every
+  completion still needs and add those it must hold, and prune when
+  they reach past max_copies, reach a point that must grow but cannot,
+  or push a corner count past every allowed one.  Stage 1 of the
+  second class runs no closure: its intermediate bases are tiled again
+  by copies of themselves and need no allowed counts;
 - per-node rejections of completed tilings (even angle, unbranched,
   two branch points, periodic or unknown branch point).
 
@@ -345,7 +347,10 @@ class _Search:
 
     def _admissible_q(self):
         """Odd N_Q values compatible with every base angle, plus the
-        union of corner-count budgets they allow per vertex type."""
+        union of corner-count budgets they allow per vertex type and,
+        for each count c up to the largest allowed one, the corners
+        `shortfall[t][c]` still missing to the least allowed count at
+        or above c."""
         qs = []
         for q in range(3, self.N + 1, 2):
             if self.N % q:
@@ -363,6 +368,7 @@ class _Search:
         self.qs = qs
         self.ok_counts = []
         self.max_count = []
+        self.shortfall = []
         for t in range(self.k):
             allowed = set()
             for q in self.qs:
@@ -374,6 +380,10 @@ class _Search:
                 kk += 1
             self.ok_counts.append(allowed)
             self.max_count.append(max(allowed) if allowed else 0)
+            self.shortfall.append([
+                min((a - c for a in allowed if a >= c), default=0)
+                for c in range(self.max_count[t] + 1)
+            ])
 
     # -- node bookkeeping --------------------------------------------------
 
@@ -569,7 +579,7 @@ class _Search:
         with one legality table (`grown_child`) checked only against
         newer copies, that starts from a copy of each node.legal entry.
 
-        A boundary point whose corner count is not in `ok_counts` must
+        A boundary point whose corner count c is not in `ok_counts` must
         gain a corner.  In a completed tiling (every point labelled, the
         corners at each point one fan glued side to side) one new corner
         there sits across an old corner's external side, so it is the
@@ -580,17 +590,27 @@ class _Search:
         adds every copy forced at its start, and the result depends on
         the set of copies alone, not on the order of points or sides.
 
-        Tags: "forced past the copy bound" when the closure needs more
-        than max_copies copies; "forced dead end" when a point that must
-        grow has no legal move, or two forced copies block each other;
-        "forced angle overflow" when a count goes above `max_count`.
-        The closure stops at `longest` copies and, when the node budget
-        set that bound, returns None there: the budget ends the search
-        first."""
+        Each round first bounds the copies still needed from the counts
+        alone.  A completion keeps each point and its label, so a
+        must-grow point ends at a count of at least c+, the least allowed
+        count above c, c+ - c = `shortfall`.  A new copy's k vertices
+        are k distinct points: it adds at most one corner at each point
+        and k corners in all.  So every completion holds at least
+        max_p (c+ - c) and ceil(sum_p (c+ - c) / k) more copies.  The
+        bound reads no legality and adds no copy, so it holds under a
+        node budget too.
+
+        Tags: "forced past the copy bound" when every completion holds
+        more than max_copies copies, by the bound or because the closure
+        needs more; "forced dead end" when a point that must grow has no
+        legal move, or two forced copies block each other; "forced angle
+        overflow" when a count goes above `max_count`.  The closure
+        stops at `longest` copies and, when the node budget set that
+        bound, returns None there: the budget ends the search first."""
         legal = {key: list(entry) for key, entry in node.legal.items()}
         grown = an
         while True:
-            forced, dead = {}, False
+            must, most, total = [], 0, 0
             for rec in grown.points.values():
                 t = rec["label"]
                 if not rec["ext"] or t is None:
@@ -598,8 +618,15 @@ class _Search:
                 kk = len(rec["corners"])
                 if kk > self.max_count[t]:
                     return "forced angle overflow"
-                if kk in self.ok_counts[t]:
-                    continue
+                gap = self.shortfall[t][kk]
+                if gap:
+                    must.append(rec)
+                    most, total = max(most, gap), total + gap
+            need = max(most, -(-total // self.k))
+            if len(grown.copies) + need > self.max_copies:
+                return "forced past the copy bound"
+            forced, dead = {}, False
+            for rec in must:
                 moves = {}
                 for ci, s in rec["ext"]:
                     new = self.grown_child(legal, grown.copies, ci, s)
@@ -751,8 +778,9 @@ def _run_enumeration(searcher: _Search, report: SearchReport, want: str,
                      bases=None):
     """Breadth-first enumeration over canonical nodes.  `want` is
     'appropriate' (first-class candidates) or 'periodic-branched'
-    (intermediate bases for the second class, collected in `bases`).
-    Returns whether an unknown verdict was encountered."""
+    (intermediate bases for the second class, collected in `bases`,
+    with no forced closure: see the module docstring).  Returns whether
+    an unknown verdict was encountered."""
     root = _Node((_root_copy(searcher),))
     root.key = searcher.canonical_key(root.copies)
     root.an = searcher.analyze_node(root)
@@ -791,7 +819,7 @@ def _run_enumeration(searcher: _Search, report: SearchReport, want: str,
                 seen.add(child.key)
                 child.an = searcher.child_analysis(an, new)
                 prune = searcher.subtree_prune(child, child.an)
-                if prune is None:
+                if prune is None and want == "appropriate":
                     prune = searcher.forced_prune(child, child.an)
                 if prune is not None:
                     _tag(report, prune, child)

@@ -11,7 +11,7 @@ from flatbilliards.flow import (
     NotShownPeriodic,
     OnSeparatrix,
     SurfacePoint,
-    _corner_mode,
+    _corner_modes,
     cylinder_decomposition,
     height_split,
 )
@@ -276,16 +276,23 @@ def _reference_corner_mode(M, corner, u):
 
 def test_corner_mode_matches_the_vector_rule():
     # family 8 has a reflex corner (3pi/2); directions j/12 run along
-    # sides of all three polygons
+    # sides of the three catalog polygons, and each lattice direction
+    # along sides of the right isoceles triangle turned by pi/7, whose
+    # lattice does not contain direction 0
+    turned = Polygon([Edge(F(1, 7), 1), Edge(F(9, 14), 1),
+                      Edge(F(39, 28), 2 * cy.cos_pi(F(1, 4)))])
     modes = set()
-    for family, n in [("2", 5), ("5c", None), ("8", None)]:
-        M = unfold(make_entry(family, n).polygon)
+    for family, P in [("2", make_entry("2", 5).polygon),
+                      ("5c", make_entry("5c").polygon),
+                      ("8", make_entry("8").polygon), ("turned", turned)]:
+        M = unfold(P)
         corners = [(fi, p) for fi in range(len(M.faces)) for p in range(M.k)]
-        for j in range(24):
-            th = F(j, 12)
+        for th in [F(j, 12) for j in range(24)] + M.group.directions():
             u = (cy.cos_pi(th), cy.sin_pi(th))
+            table = _corner_modes(M, th)
+            assert set(table) == set(corners)
             for c in corners:
-                mode = _corner_mode(M, c, th)
+                mode = table[c]
                 assert mode == _reference_corner_mode(M, c, u), (family, th, c)
                 modes.add(mode)
     assert modes == {"edge", "ray", None}

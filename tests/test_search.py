@@ -175,6 +175,21 @@ def test_second_class_composes():
     assert r.statistics["intermediate bases"] >= 0
 
 
+@pytest.mark.parametrize("family,n,K,collected", [("2", 5, 6, 5),
+                                                  ("6", 5, 6, 1)])
+def test_second_class_stage_one_skips_the_closure(family, n, K, collected,
+                                                  monkeypatch):
+    # an intermediate base need not have every count in ok_counts: stage
+    # 2 tiles it by copies of itself, so the forced closure's claim does
+    # not hold in stage 1, which collects what it collects with none
+    entry = make_entry(family, n)
+    bases = search_appropriate(entry, K, cls=2).rejected["intermediate base"]
+    monkeypatch.setattr(_Search, "forced_prune", lambda self, node, an: None)
+    bare = search_appropriate(entry, K, cls=2).rejected["intermediate base"]
+    assert bases == bare
+    assert len(bases) == collected
+
+
 def test_resource_budget_reported():
     r = search_appropriate(make_entry("2", 5), 8, max_nodes=5)
     assert r.outcome == "inconclusive"
@@ -394,49 +409,45 @@ def test_each_node_is_analysed_once():
     report = SearchReport("2", 5, 1, 8, "none_found",
                           statistics={"nodes": 0})
     _run_enumeration(searcher, report, want="appropriate")
-    assert report.statistics["nodes"] == 157
+    assert report.statistics["nodes"] == 83
     assert inside
     assert folds == [0]
     assert len(outside) == len(pruned) + 1
 
 
 _PINNED = [
-    ("2", 5, 6, {"nodes": 42, "congruent repeats": 110, "even angle": 38,
-                 "forced past the copy bound": 25,
+    ("2", 5, 6, {"nodes": 25, "congruent repeats": 72, "even angle": 21,
+                 "forced past the copy bound": 38,
                  "locked periodic branch": 2, "two branch points": 3,
                  "unbranched (lattice)": 1},
      {"locked periodic branch": 2, "two branch points": 3}),
-    ("2", 7, 6, {"nodes": 40, "angle overflow": 6, "congruent repeats": 105,
-                 "even angle": 36, "forced past the copy bound": 21,
+    ("2", 7, 6, {"nodes": 24, "angle overflow": 6, "congruent repeats": 67,
+                 "even angle": 20, "forced past the copy bound": 33,
                  "two branch points": 3, "unbranched (lattice)": 1},
      {"two branch points": 3}),
-    ("6", 5, 6, {"nodes": 18, "congruent repeats": 20, "even angle": 16,
-                 "forced past the copy bound": 4, "locked periodic branch": 1,
+    ("6", 5, 6, {"nodes": 10, "congruent repeats": 13, "even angle": 8,
+                 "forced past the copy bound": 7,
                  "locked two branch points": 1, "two branch points": 1,
                  "unbranched (lattice)": 1},
-     {"locked periodic branch": 1, "locked two branch points": 1,
-      "two branch points": 1}),
-    ("5a", None, 10, {"nodes": 2105, "congruent repeats": 5505,
-                      "even angle": 2104, "forced dead end": 1,
-                      "forced past the copy bound": 928,
-                      "incomplete tiling": 1, "locked even angle": 9,
-                      "locked two branch points": 7},
-     {"locked even angle": 9, "locked two branch points": 7}),
+     {"locked two branch points": 1, "two branch points": 1}),
+    ("5a", None, 10, {"nodes": 90, "congruent repeats": 337,
+                      "even angle": 90, "forced past the copy bound": 197},
+     {}),
     # the benchmark's three searches
-    ("6", 5, 8, {"nodes": 32, "congruent repeats": 37, "even angle": 30,
-                 "forced past the copy bound": 4, "locked periodic branch": 5,
-                 "locked two branch points": 4, "two branch points": 1,
+    ("6", 5, 8, {"nodes": 18, "congruent repeats": 24, "even angle": 16,
+                 "forced past the copy bound": 10, "locked periodic branch": 2,
+                 "locked two branch points": 2, "two branch points": 1,
                  "unbranched (lattice)": 1},
-     {"locked periodic branch": 5, "locked two branch points": 4,
+     {"locked periodic branch": 2, "locked two branch points": 2,
       "two branch points": 1}),
-    ("2", 5, 8, {"nodes": 157, "congruent repeats": 593, "even angle": 150,
-                 "forced past the copy bound": 160,
-                 "locked periodic branch": 26, "two branch points": 6,
+    ("2", 5, 8, {"nodes": 83, "congruent repeats": 322, "even angle": 76,
+                 "forced past the copy bound": 150,
+                 "locked periodic branch": 14, "two branch points": 6,
                  "unbranched (lattice)": 1},
-     {"locked periodic branch": 26, "two branch points": 6}),
-    ("2", 7, 8, {"nodes": 127, "angle overflow": 51, "congruent repeats": 454,
-                 "even angle": 120, "forced angle overflow": 1,
-                 "forced past the copy bound": 117, "two branch points": 6,
+     {"locked periodic branch": 14, "two branch points": 6}),
+    ("2", 7, 8, {"nodes": 72, "angle overflow": 38, "congruent repeats": 261,
+                 "even angle": 65, "forced angle overflow": 1,
+                 "forced past the copy bound": 110, "two branch points": 6,
                  "unbranched (lattice)": 1},
      {"two branch points": 6}),
 ]
@@ -450,6 +461,16 @@ def test_search_statistics_are_pinned(family, n, K, statistics, kept):
     assert r.outcome == "none_found" and not r.candidates
     assert r.statistics == statistics
     assert {tag: len(lists) for tag, lists in r.rejected.items()} == kept
+
+
+def test_copies_still_needed_bound_the_depth():
+    # 5a has no candidate within 10 or 12 copies, and the copies a node
+    # still needs end each line well before the copy bound does (2,105
+    # and 12,595 nodes without that bound)
+    for K, most in ((10, 100), (12, 400)):
+        r = search_appropriate(make_entry("5a"), K)
+        assert r.outcome == "none_found" and not r.candidates
+        assert r.statistics["nodes"] <= most
 
 
 @pytest.mark.parametrize("family,n,K", [pin[:3] for pin in _PINNED])
@@ -516,7 +537,7 @@ def test_overlap_table_matches_the_direct_test(family, n, K):
 
 
 def test_overlap_test_runs_once_per_placement():
-    # 2 n=5 at K=8 tests about 29,000 pairs over about 170 relative
+    # 2 n=5 at K=8 tests about 10,000 pairs over about 130 relative
     # placements: the exact test runs once for each, and the table
     # keeps every answer
     searcher = _searcher("2", 5, 8)
@@ -531,7 +552,7 @@ def test_overlap_test_runs_once_per_placement():
     report = SearchReport("2", 5, 1, 8, "none_found",
                           statistics={"nodes": 0})
     _run_enumeration(searcher, report, want="appropriate")
-    assert report.statistics["nodes"] == 157
+    assert report.statistics["nodes"] == 83
     assert len(calls) == len(set(calls)) == len(searcher.overlap)
     assert len(calls) < 1000
 
@@ -789,8 +810,9 @@ def test_search_reaches_every_class(family, n):
     # class that some path reaches without meeting a forced prune, and
     # no class in which every labelled point's count lies in ok_counts
     # is lost below one, which is the closure's soundness claim.  At
-    # K=8 the search loses 8 of 351 classes (2 n=5) and 11 of 307
-    # (2 n=7), each below a forced prune.
+    # K=8 the search loses 104 of 351 classes (2 n=5) and 86 of 307
+    # (2 n=7), each below a forced prune; 10 and 7 have every count
+    # allowed.
     K = 8
     searcher = _searcher(family, n, K)
     keys, reached, forced = [], set(), set()
