@@ -20,14 +20,17 @@ vertices, gluing translations and cotangents are stored at n, and
 sums, products and inverses of values at n stay at n.  At one
 conductor a value's stored form (coefficients reduced mod Phi_n over a
 positive denominator prime to them) is unique, so the chart keys a
-point by its raw coefficients (`_key`), with no canonical descent.  A
-chart whose conductor has degree above MAX_CHART_DEGREE is refused.
+point by its raw coefficients (`_key`), with no canonical descent.
+Gluing matches keys, with no translated point: a side point's partner
+key comes from the side pairing at a vertex and from the tracer at a
+crossing; heights are compared by stored form.  A chart whose
+conductor has degree above MAX_CHART_DEGREE is refused.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import planar
@@ -80,21 +83,16 @@ def _key(v, n: int) -> tuple:
 @dataclass
 class _Chord:
     """A maximal horizontal sub-segment of a separatrix inside one face,
-    with the face side each end lies inside (None at a vertex), keyed
-    at the chart conductor n."""
+    with the face side each end lies inside (None at a vertex) and each
+    end's key at the chart conductor."""
 
     face: int
     a: tuple
     b: tuple
     a_side: int | None
     b_side: int | None
-    n: InitVar[int]
-    a_key: tuple = field(init=False)
-    b_key: tuple = field(init=False)
-
-    def __post_init__(self, n):
-        self.a_key = _key(self.a, n)
-        self.b_key = _key(self.b, n)
+    a_key: tuple
+    b_key: tuple
 
 
 @dataclass(frozen=True)
@@ -209,8 +207,15 @@ def _corner_modes(M: TranslationSurface, theta: Fraction) -> dict:
 
 class _Chart:
     """One decomposition's chart and tracing state at conductor n: the
-    turned (cos, sin) table, the faces walked over it, the gluing
-    translations between them, and the cotangents met so far."""
+    turned (cos, sin) table, the faces walked over it and their vertex
+    keys, the gluing translations between them, the partner keys of
+    side points, and the cotangents met so far.
+
+    partner[(fi, p), key] is the key of the point's copy on the side
+    paired with side p of face fi.  Side (fi, p) paired with (fj, q)
+    copies one side of P anti-parallel, so vertex p goes to vertex
+    q + 1 of fj and vertex p + 1 to vertex q; `trace` adds each
+    crossing, where it translates the point anyway."""
 
     def __init__(self, M: TranslationSurface, theta, n, stop_ids, bound2):
         self.M = M
@@ -218,6 +223,8 @@ class _Chart:
         self.n = n
         self.turned = _turned(M, theta)
         self.modes = _corner_modes(M, theta)
+        y = (theta - M.group.base_axis) * M.N
+        self.turn = y.numerator // y.denominator
         half = [(c.lift(n), s.lift(n)) for c, s in self.turned]
         self.table = half + [(-c, -s) for c, s in half]
         lengths = [e.length.lift(n) for e in M.polygon.edges]
@@ -227,11 +234,15 @@ class _Chart:
                  self.table, (zero, zero))
             for f in M.faces
         ]
-        # own start -> partner end
-        self.tau = {
-            (fi, p): vsub(self.verts[fj][(q + 1) % M.k], self.verts[fi][p])
-            for (fi, p), (fj, q) in M.pairing.items()
-        }
+        self.vkeys = [[_key(v, n) for v in vs] for vs in self.verts]
+        self.tau = {}  # own start -> partner end
+        self.partner = {}
+        k, keys = M.k, self.vkeys
+        for (fi, p), (fj, q) in M.pairing.items():
+            self.tau[fi, p] = vsub(self.verts[fj][(q + 1) % k],
+                                   self.verts[fi][p])
+            self.partner[(fi, p), keys[fi][p]] = keys[fj][(q + 1) % k]
+            self.partner[(fi, p), keys[fi][(p + 1) % k]] = keys[fj][q]
         self.cot = [None] * M.N
         self.stop_ids = stop_ids
         self.bound2 = bound2
@@ -254,6 +265,14 @@ class _Chart:
             c, s = self.turned[m]
             cot = self.cot[m] = (c / s).lift(self.n)
         return cot
+
+    def runs_down(self, side) -> bool:
+        """Whether a side not parallel to the flow runs down the chart,
+        (side.direction - theta) mod 2 > 1.  As in `_corner_modes`,
+        x = (theta - side.direction) mod 2 has floor(x N) equal to
+        i = (floor((theta - base) N) - m) mod 2N, and x lies in (0, 1)
+        exactly when i < N."""
+        return (self.turn - side.lattice) % (2 * self.M.N) < self.M.N
 
     def _ray_exit(self, fi: int, x):
         """First boundary hit of the ray x + (t, 0), t > 0, in face fi.
@@ -328,18 +347,23 @@ class _Chart:
                 corner = (fi, (p + 1) % M.k)
                 continue
             # interior ray from the corner
-            x, x_side = self.verts[fi][p], None
+            x, x_side, x_key = self.verts[fi][p], None, self.vkeys[fi][p]
             while True:
                 t, hit, pt = self._ray_exit(fi, x)
                 self._spend(t)
                 if hit[0] == "vertex":
-                    chords.append(_Chord(fi, x, pt, x_side, None, self.n))
                     corner = hit[1]
+                    chords.append(_Chord(fi, x, pt, x_side, None, x_key,
+                                         self.vkeys[corner[0]][corner[1]]))
                     break
                 q = hit[1]
-                chords.append(_Chord(fi, x, pt, x_side, q, self.n))
+                pt_key = _key(pt, self.n)
+                chords.append(_Chord(fi, x, pt, x_side, q, x_key, pt_key))
                 x = vadd(pt, self.tau[(fi, q)])
+                x_key = _key(x, self.n)
+                self.partner[(fi, q), pt_key] = x_key
                 fi, x_side = M.pairing[(fi, q)]
+                self.partner[(fi, x_side), x_key] = pt_key
 
 
 # ---------------------------------------------------------------------------
@@ -417,16 +441,16 @@ def _slice_face(chart: _Chart, fi: int, chords: list) -> list:
     ring_nodes = []
     ring_tags = []
     for p, side in enumerate(chart.M.faces[fi].sides):
-        start = chart.verts[fi][p]
-        ring_nodes.append((_key(start, chart.n), start))
+        ring_nodes.append((chart.vkeys[fi][p], chart.verts[fi][p]))
         ring_tags.append(("side", p))
+        if not interior[p]:
+            continue
         # no chord ends inside a side parallel to the flow, so the side
-        # runs up (direction within (0, 1) of theta) or down
-        down = (side.direction - chart.theta) % 2 > 1
+        # runs up or down
         for key, pt in sorted(
             interior[p].items(),
             key=lambda kv: planar._sort_key(kv[1][1]),
-            reverse=down,
+            reverse=chart.runs_down(side),
         ):
             ring_nodes.append((key, pt))
             ring_tags.append(("side", p))
@@ -496,110 +520,105 @@ def _node_point(piece: _Piece, key):
 
 
 def _glue_pieces(chart: _Chart, pieces: list, cut_sides: set):
-    M = chart.M
-    # index sub-segments of non-cut sides
-    seg_index = {}
+    """Glue the pieces of a cut chart into cylinders, matching keys.
+
+    A sub-segment a -> b of a side that is not cut is glued to the
+    sub-segment pb -> pa of the paired side, pa and pb the keys of its
+    ends' copies in `chart.partner`: a side's ends come from the pairing
+    of its vertices, a crossing from `trace`, so gluing translates no
+    point.  A sub-segment without partner keys or a match, or held by
+    two pieces, is a SurfaceError.  Gluing shifts heights by the y of
+    the side's translation; each piece gets its offset in its component
+    by a breadth-first pass, and an offset reached twice must have the
+    same stored form.  Every value here is at the chart conductor, where
+    equal values have equal stored forms.  A component's boundary, its
+    chords and cut sides, must be horizontal (its ends' keys share their
+    y parts) and lie at two heights y + offset, grouped by stored form:
+    the lower is y_min, and the circumference is the sum of x_b - x_a
+    over its segments.  Each height must be positive; the caller checks
+    that the areas sum to the surface's.
+    """
+    M, partner = chart.M, chart.partner
+    segments = {}  # (side, a, b) -> the pieces holding that sub-segment
     for pi, piece in enumerate(pieces):
-        n = len(piece.nodes)
-        for i in range(n):
-            tag = piece.tags[i]
-            if tag[0] != "side":
+        nodes = piece.nodes
+        for i, tag in enumerate(piece.tags):
+            side = (piece.face, tag[1])
+            if tag[0] != "side" or side in cut_sides:
                 continue
-            side_id = (piece.face, tag[1])
-            if side_id in cut_sides:
-                continue
-            a_key = piece.nodes[i][0]
-            b_key = piece.nodes[(i + 1) % n][0]
-            locator = (side_id, frozenset((a_key, b_key)))
-            # partner locator: translate both endpoints
-            tau = chart.tau[side_id]
-            pa = _key(vadd(piece.nodes[i][1], tau), chart.n)
-            pb = _key(vadd(piece.nodes[(i + 1) % n][1], tau), chart.n)
-            partner_loc = (M.pairing[side_id], frozenset((pa, pb)))
-            seg_index.setdefault(locator, []).append((pi, tau[1], partner_loc))
-    # match: adj[pi] holds (pj, height shift of the gluing)
-    adj: dict[int, list] = {i: [] for i in range(len(pieces))}
-    for locator, items in seg_index.items():
-        if len(items) != 1:
+            key = (side, nodes[i][0], nodes[(i + 1) % len(nodes)][0])
+            segments.setdefault(key, []).append(pi)
+    adj = [[] for _ in pieces]  # (neighbour, height shift of the gluing)
+    for (side, a, b), held in segments.items():
+        if len(held) != 1:
             raise SurfaceError("sub-segment matched more than one piece")
-        pi, dy, partner_loc = items[0]
-        partner_items = seg_index.get(partner_loc)
-        if partner_items is None:
+        match = segments.get((M.pairing[side], partner.get((side, b)),
+                              partner.get((side, a))))
+        if match is None:
             raise SurfaceError("unmatched boundary sub-segment")
-        adj[pi].append((partner_items[0][0], dy))
+        adj[held[0]].append((match[0], chart.tau[side][1]))
     # BFS components with height offsets
-    offsets = {}
-    comp = {}
+    zero = ZERO.lift(chart.n)
+    comp, offsets = [None] * len(pieces), [None] * len(pieces)
     n_comp = 0
     for start in range(len(pieces)):
-        if start in comp:
+        if comp[start] is not None:
             continue
-        comp[start] = n_comp
-        offsets[start] = ZERO
+        comp[start], offsets[start] = n_comp, zero
         queue = [start]
         while queue:
             cur = queue.pop()
             for nxt, dy in adj[cur]:
                 off = offsets[cur] - dy
-                if nxt in comp:
+                if comp[nxt] is None:
+                    comp[nxt], offsets[nxt] = n_comp, off
+                    queue.append(nxt)
+                elif (offsets[nxt].num, offsets[nxt].den) != (off.num,
+                                                              off.den):
                     # going around the core curve shifts the developing
                     # map along the flow (the holonomy); only the height
                     # must be single-valued
-                    if not (offsets[nxt] - off).is_zero:
-                        raise SurfaceError(
-                            "inconsistent cylinder developing map"
-                        )
-                    continue
-                comp[nxt] = comp[cur]
-                offsets[nxt] = off
-                queue.append(nxt)
+                    raise SurfaceError("inconsistent cylinder developing map")
         n_comp += 1
+    members = [[] for _ in range(n_comp)]
+    for i, c in enumerate(comp):
+        members[c].append(i)
 
     cylinders = []
-    for ci in range(n_comp):
-        members = [i for i in range(len(pieces)) if comp[i] == ci]
-        boundary = []  # (height, x at start, x at end) of each segment
-        for i in members:
-            piece = pieces[i]
-            off = offsets[i]
-            n = len(piece.nodes)
-            for j in range(n):
-                tag = piece.tags[j]
-                is_boundary = tag[0] == "chord" or (
-                    tag[0] == "side" and (piece.face, tag[1]) in cut_sides
-                )
-                if not is_boundary:
+    for group in members:
+        levels = {}  # stored form of a height -> (height, [(x_a, x_b)])
+        for i in group:
+            piece, nodes = pieces[i], pieces[i].nodes
+            for j, tag in enumerate(piece.tags):
+                if tag[0] == "side" and (piece.face, tag[1]) not in cut_sides:
                     continue
-                xa, ya = piece.nodes[j][1]
-                xb, yb = piece.nodes[(j + 1) % n][1]
-                if not (ya - yb).is_zero:
+                ka, (xa, y) = nodes[j]
+                kb, (xb, _) = nodes[(j + 1) % len(nodes)]
+                if ka[2:] != kb[2:]:
                     raise SurfaceError("cylinder boundary not parallel")
-                boundary.append((ya + off, xa, xb))
-        if not boundary:
+                y = y + offsets[i]
+                levels.setdefault((y.num, y.den), (y, []))[1].append((xa, xb))
+        if not levels:
             raise SurfaceError("component without boundary")
-        levels = [y for y, _, _ in boundary]
-        y_min = min(levels, key=planar._sort_key)
-        y_max = max(levels, key=planar._sort_key)
-        circumference = ZERO
-        for y, xa, xb in boundary:
-            if (y - y_min).is_zero:
-                circumference = circumference + (xb - xa)
-            elif not (y - y_max).is_zero:
-                raise SurfaceError(
-                    "boundary chord strictly inside a cylinder"
-                )
+        if len(levels) > 2:
+            raise SurfaceError("boundary chord strictly inside a cylinder")
+        ordered = sorted(levels.values(),
+                         key=lambda lv: planar._sort_key(lv[0]))
+        (y_min, low), y_max = ordered[0], ordered[-1][0]
+        circumference = zero
+        for xa, xb in low:
+            circumference = circumference + (xb - xa)
         h = y_max - y_min
         if h.sign() <= 0:
             raise SurfaceError("cylinder height must be positive")
-        cyl = Cylinder(
+        cylinders.append(Cylinder(
             height=h,
             circumference=circumference,
             area_twice=2 * h * circumference,
             y_min=y_min,
             y_max=y_max,
-            pieces=[(pieces[i], offsets[i]) for i in members],
-        )
-        cylinders.append(cyl)
+            pieces=[(pieces[i], offsets[i]) for i in group],
+        ))
     return cylinders
 
 

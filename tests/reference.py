@@ -5,21 +5,23 @@ directions by D_N's integer action, chains copies (g, t) by the group
 law, places vertices by walking along P's sides, decides whether two
 copies overlap by the sign of integer maps on packed coordinates,
 reduces mod Phi_n by one long division, builds each exact sum,
-difference, negation and product once in its stored form and reads -Id
-in the outline group off the parity of N.  The references here compose linear maps
+difference, negation and product once in its stored form, reads -Id
+in the outline group off the parity of N and glues cylinder pieces by
+the partner keys its chart records.  The references here compose linear maps
 and motions, move directions by their angle formulas, rotate and
 reflect vectors, chain a word's copies as reflections across lines,
 separate convex polygons by their sides, reduce through dense rows,
 do exact arithmetic through the public constructor (a difference as
-a + (-b)) and screen -Id by pairs of sides, the way the program once
-did, so tests can compare the two.
+a + (-b)), screen -Id by pairs of sides and key a side point's partner
+by translating the point, the way the program once did, so tests can
+compare the two.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from flatbilliards import _kernel, planar
+from flatbilliards import _kernel, flow, planar
 from flatbilliards.cyclotomic import CyclotomicReal, cos_pi, sin_pi
 from flatbilliards.polygons import LinearMap, angle_data
 
@@ -244,3 +246,10 @@ def minus_id_screen(P, external_sides=None) -> dict:
     else:
         reason = "none"
     return {"in_group": in_group, "reason": reason}
+
+
+def partner_key(chart, side, end):
+    """The key of a side point's copy on the paired side: the point
+    moved by the side's gluing translation and keyed at the chart
+    conductor."""
+    return flow._key(planar.vadd(end, chart.tau[side]), chart.n)

@@ -20,6 +20,7 @@ from flatbilliards.planar import (
     cross, dot, polygon_area_twice, vkey, vneg, vsub)
 from flatbilliards.polygons import Edge, Polygon, triangle_from_angles
 from flatbilliards.unfolding import unfold
+from reference import partner_key
 
 
 def square():
@@ -274,20 +275,27 @@ def _reference_corner_mode(M, corner, u):
     return "ray" if not (ca <= 0 and cb <= 0) else None
 
 
-def test_corner_mode_matches_the_vector_rule():
-    # family 8 has a reflex corner (3pi/2); directions j/12 run along
-    # sides of the three catalog polygons, and each lattice direction
-    # along sides of the right isoceles triangle turned by pi/7, whose
-    # lattice does not contain direction 0
+def _lattice_read_surfaces():
+    """Surfaces and directions for the rules read from lattice indices.
+
+    Family 8 has a reflex corner (3pi/2); directions j/12 run along
+    sides of the three catalog polygons, and each lattice direction
+    along sides of the right isoceles triangle turned by pi/7, whose
+    lattice does not contain direction 0."""
     turned = Polygon([Edge(F(1, 7), 1), Edge(F(9, 14), 1),
                       Edge(F(39, 28), 2 * cy.cos_pi(F(1, 4)))])
-    modes = set()
     for family, P in [("2", make_entry("2", 5).polygon),
                       ("5c", make_entry("5c").polygon),
                       ("8", make_entry("8").polygon), ("turned", turned)]:
         M = unfold(P)
+        yield family, M, [F(j, 12) for j in range(24)] + M.group.directions()
+
+
+def test_corner_mode_matches_the_vector_rule():
+    modes = set()
+    for family, M, directions in _lattice_read_surfaces():
         corners = [(fi, p) for fi in range(len(M.faces)) for p in range(M.k)]
-        for th in [F(j, 12) for j in range(24)] + M.group.directions():
+        for th in directions:
             u = (cy.cos_pi(th), cy.sin_pi(th))
             table = _corner_modes(M, th)
             assert set(table) == set(corners)
@@ -296,6 +304,27 @@ def test_corner_mode_matches_the_vector_rule():
                 assert mode == _reference_corner_mode(M, c, u), (family, th, c)
                 modes.add(mode)
     assert modes == {"edge", "ray", None}
+
+
+def test_runs_down_matches_the_fraction_rule():
+    # the chart reads whether a side runs down from its lattice index;
+    # the rule it replaced is (direction - theta) mod 2 > 1 in Fraction
+    # arithmetic, asked only of sides not parallel to the flow
+    seen = set()
+    for family, M, directions in _lattice_read_surfaces():
+        sides = [s for f in M.faces for s in f.sides]
+        for th in directions:
+            try:
+                chart = flow._Chart(M, th, flow._check_degree(M, th),
+                                    set(), None)
+            except FlowError:
+                continue
+            for s in sides:
+                if (s.direction - th) % 1:
+                    down = (s.direction - th) % 2 > 1
+                    assert chart.runs_down(s) == down, (family, th, s)
+                    seen.add(down)
+    assert seen == {False, True}
 
 
 # the surfaces of the tests above, and the right isoceles triangle built
@@ -431,3 +460,63 @@ def test_a_refused_chart_builds_no_trig_value(monkeypatch, angles, theta):
     with pytest.raises(FlowError, match="MAX_CHART_DEGREE"):
         cylinder_decomposition(M, theta)
     assert built == []
+
+
+# the `certify` workload's surfaces and more, each glued in every default
+# direction that closes up within the default bound
+_GLUED = [("2", 5), ("6", 5), ("2", 7), ("5a", None), ("5c", None),
+          ("4", 5), ("8", None)]
+
+
+def _decompose_defaults(surfaces):
+    for family, n in surfaces:
+        M = unfold(make_entry(family, n).polygon)
+        for th in default_directions(M):
+            try:
+                cylinder_decomposition(M, th)
+            except (NotShownPeriodic, FlowError):
+                continue
+
+
+def test_partner_keys_match_the_translated_ends(monkeypatch):
+    # the chart's partner table, read from the side pairing at vertices
+    # and recorded by the tracer at crossings, keys the same points as
+    # translating each side point by its side's gluing translation; it
+    # is checked before gluing reads it
+    glue, charts = flow._glue_pieces, []
+
+    def checked(chart, pieces, cut_sides):
+        coords = {key: pt for keys, pts in zip(chart.vkeys, chart.verts)
+                  for key, pt in zip(keys, pts)}
+        coords.update(node for piece in pieces for node in piece.nodes)
+        for (side, key), partner in chart.partner.items():
+            assert partner == partner_key(chart, side, coords[key])
+        # two side ends per side, and both sides of every crossing
+        assert len(chart.partner) > 2 * len(chart.tau)
+        charts.append(chart)
+        return glue(chart, pieces, cut_sides)
+
+    monkeypatch.setattr(flow, "_glue_pieces", checked)
+    _decompose_defaults(_GLUED)
+    assert len(charts) >= 30
+
+
+def test_gluing_translates_no_point(monkeypatch):
+    # gluing matches keys: with `vadd` refused it returns the same
+    # cylinders from the same chart and pieces
+    glue, glued = flow._glue_pieces, []
+
+    def recorded(*args):
+        glued.append((args, glue(*args)))
+        return glued[-1][1]
+
+    monkeypatch.setattr(flow, "_glue_pieces", recorded)
+    _decompose_defaults([("2", 5), ("5a", None)])
+    assert glued
+
+    def no_translation(*_args):
+        raise AssertionError("gluing translated a point")
+
+    monkeypatch.setattr(flow, "vadd", no_translation)
+    for args, cylinders in glued:
+        assert glue(*args) == cylinders
