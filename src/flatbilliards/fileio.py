@@ -158,16 +158,14 @@ def surface_to_json(M) -> dict:
         "faces": [
             {
                 "index": f.index,
-                "map": {
-                    "kind": f.gmap.kind,
-                    "param": fraction_to_str(f.gmap.param),
-                },
+                "map": {"kind": kind, "param": fraction_to_str(param)},
                 "vertices": [
                     [cyc_to_json(v[0]), cyc_to_json(v[1])]
                     for v in M.vertices[f.index]
                 ],
             }
             for f in M.faces
+            for kind, param in [M.group.map_of(f.index)]
         ],
         "pairing": {
             f"{fi},{p}": [fj, q] for (fi, p), (fj, q) in M.pairing.items()

@@ -12,9 +12,8 @@ moves by `DihedralGroup.act_on_direction`.  Exact vertices are walks
 along P's sides over the group's (cos, sin) table (`walk`), and no
 vector is rotated.  A polygon's own vertices are walked once, by its
 closure check.  No plane motion is kept: a copy of P is its group index
-and a shift (see `covers`).  `LinearMap` is left for naming group
-elements: `TranslationSurface.act_on_face` accepts one, the surface
-dump writes each face's map, and `DihedralGroup.elements` lists them.
+and a shift (see `covers`).  An element is named as a linear map only
+in the surface dump, by `DihedralGroup.map_of`.
 """
 
 from __future__ import annotations
@@ -278,33 +277,10 @@ def _float_bounds(x: CyclotomicReal) -> tuple:
     return f, f
 
 
-# ---------------------------------------------------------------------------
-# linear isometries fixing the origin, with rational-angle parameters
-
-
-@dataclass(frozen=True)
-class LinearMap:
-    """Orthogonal map: rotation by pi*param, or reflection across the
-    line through the origin at angle pi*param."""
-
-    kind: str  # 'rot' | 'ref'
-    param: Fraction
-
-    def __post_init__(self):
-        period = 2 if self.kind == "rot" else 1
-        object.__setattr__(self, "param", Fraction(self.param) % period)
-
-    @property
-    def det(self) -> int:
-        return 1 if self.kind == "rot" else -1
-
-    def __str__(self):
-        return f"{self.kind}({self.param})"
-
-
 class DihedralGroup:
     """D_N: rotations by 2*pi*j/N and reflections across axes
-    base + j/N (axis angles in units of pi).
+    base + j/N (axis angles in units of pi).  An element is its index,
+    0..2N-1: rot_j is j and ref_j is N + j.
 
     Its lattice directions are base + m/N mod 2, indexed by m in
     0..2N-1.  The group acts on them by integers mod 2N: rot_j sends m
@@ -355,21 +331,8 @@ class DihedralGroup:
         N = self.N
         return (m + 2 * g if g < N else 2 * (g - N) - m) % (2 * N)
 
-    def elements(self) -> list[LinearMap]:
-        return [self.element(i) for i in range(2 * self.N)]
-
-    def __contains__(self, g: LinearMap) -> bool:
-        if g.kind == "rot":
-            return (g.param * self.N / 2).denominator == 1
-        return ((g.param - self.base_axis) * self.N).denominator == 1
-
-    def index_of(self, g: LinearMap) -> int:
-        """0..N-1 rotations, N..2N-1 reflections."""
-        if g not in self:
-            raise PolygonError(f"{g} is not in D_{self.N}")
-        if g.kind == "rot":
-            return int(g.param * self.N / 2) % self.N
-        return self.N + int((g.param - self.base_axis) * self.N) % self.N
+    def elements(self) -> range:
+        return range(2 * self.N)
 
     def product(self, a: int, b: int) -> int:
         """The index of a.b, read from the indices by D_N's law (mod N):
@@ -383,12 +346,14 @@ class DihedralGroup:
         r = range(2 * self.N)
         return [[self.product(a, b) for b in r] for a in r]
 
-    def element(self, index: int) -> LinearMap:
-        index %= 2 * self.N
-        if index < self.N:
-            return LinearMap("rot", Fraction(2 * index, self.N))
-        j = index - self.N
-        return LinearMap("ref", self.base_axis + Fraction(j, self.N))
+    def map_of(self, g: int) -> tuple[str, Fraction]:
+        """Element g as a linear map (kind, param): rotation by
+        pi*param, or reflection across the axis at angle pi*param.
+        param is reduced, in [0, 2) for 'rot' and [0, 1) for 'ref'."""
+        N = self.N
+        if g < N:
+            return "rot", Fraction(2 * g, N)
+        return "ref", self.base_axis + Fraction(g - N, N)
 
     def is_subgroup_of(self, other: "DihedralGroup") -> bool:
         """N divides other's N, and base is a lattice direction of other."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import CyclotomicReal
-from .polygons import (DihedralGroup, LinearMap, Polygon, RationalAngle,
+from .polygons import (DihedralGroup, Polygon, RationalAngle,
                        edge_directions, side_reflections)
 
 
@@ -47,11 +47,10 @@ class Face:
     `edge_dirs[s]` is the lattice index of side s of P; the side's
     image under g is read by D_N's integer action on directions."""
 
-    __slots__ = ("index", "group", "det", "sides", "source_vertex")
+    __slots__ = ("index", "det", "sides", "source_vertex")
 
     def __init__(self, index: int, group: DihedralGroup, edge_dirs):
         self.index = index
-        self.group = group
         self.det = 1 if index < group.N else -1
         k = len(edge_dirs)
         self.source_vertex = tuple(p * self.det % k for p in range(k))
@@ -63,12 +62,6 @@ class Face:
             m = group.act_on_direction(index, edge_dirs[s] + turn)
             sides.append(Side(s, table[m], m))
         self.sides = tuple(sides)
-
-    @property
-    def gmap(self) -> LinearMap:
-        """The face's group element as a linear map, built per read:
-        only the surface dump names it."""
-        return self.group.element(self.index)
 
     def vertex_position(self, v: int) -> int:
         """Position of source vertex v: source_vertex is an involution."""
@@ -253,21 +246,16 @@ class TranslationSurface:
 
     # -- group action ----------------------------------------------------------
 
-    def act_on_face(self, g, fi: int) -> int:
-        """The face g maps face fi to: face fi is group element fi, and
-        g is a group index or a linear map in the group."""
-        if isinstance(g, LinearMap):
-            g = self.group.index_of(g)
-        return self.group.product(g, fi)
-
-    def act_on_corner(self, g, corner):
-        """Image of a corner under the affine action of g on the surface."""
+    def act_on_corner(self, g: int, corner):
+        """Image of a corner under the affine action of group index g on
+        the surface: face fi is group element fi, so it goes to face
+        g.fi."""
         fi, p = corner
         v = self.faces[fi].source_vertex[p]
-        fj = self.act_on_face(g, fi)
+        fj = self.group.product(g, fi)
         return (fj, self.faces[fj].vertex_position(v))
 
-    def act_on_class(self, g, cp: ConePoint) -> ConePoint:
+    def act_on_class(self, g: int, cp: ConePoint) -> ConePoint:
         image = self.act_on_corner(g, cp.representative())
         return self.class_of_corner(image)
 

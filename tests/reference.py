@@ -1,20 +1,22 @@
 """Reference constructions for differential tests.
 
-The program reads D_N's products from group indices, moves lattice
-directions by D_N's integer action, chains copies (g, t) by the group
-law, places vertices by walking along P's sides, decides whether two
-copies overlap by the sign of integer maps on packed coordinates,
-reduces mod Phi_n by one long division, builds each exact sum,
-difference, negation and product once in its stored form, reads -Id
-in the outline group off the parity of N and glues cylinder pieces by
-the partner keys its chart records.  The references here compose linear maps
-and motions, move directions by their angle formulas, rotate and
-reflect vectors, chain a word's copies as reflections across lines,
-separate convex polygons by their sides, reduce through dense rows,
-do exact arithmetic through the public constructor (a difference as
-a + (-b)), screen -Id by pairs of sides and key a side point's partner
-by translating the point, the way the program once did, so tests can
-compare the two.
+The program names a group element by its index alone, reads D_N's
+products from group indices, moves lattice directions by D_N's integer
+action, chains copies (g, t) by the group law, places vertices by
+walking along P's sides, decides whether two copies overlap by the sign
+of integer maps on packed coordinates, reduces mod Phi_n by one long
+division, builds each exact sum, difference, negation and product once
+in its stored form, reads -Id in the outline group off the parity of N
+and glues cylinder pieces by the partner keys its chart records.  The
+references here name an element as a linear map (`LinearMap`, with
+`element`, `elements`, `in_group` and `index_of` between maps and
+indices), compose linear maps and motions, move directions by their
+angle formulas, rotate and reflect vectors, chain a word's copies as
+reflections across lines, separate convex polygons by their sides,
+reduce through dense rows, do exact arithmetic through the public
+constructor (a difference as a + (-b)), screen -Id by pairs of sides
+and key a side point's partner by translating the point, the way the
+program once did, so tests can compare the two.
 """
 
 import math
@@ -23,7 +25,55 @@ from fractions import Fraction
 
 from flatbilliards import _kernel, flow, planar
 from flatbilliards.cyclotomic import CyclotomicReal, cos_pi, sin_pi
-from flatbilliards.polygons import LinearMap, angle_data
+from flatbilliards.polygons import PolygonError, angle_data
+
+
+@dataclass(frozen=True)
+class LinearMap:
+    """Orthogonal map: rotation by pi*param, or reflection across the
+    line through the origin at angle pi*param."""
+
+    kind: str  # 'rot' | 'ref'
+    param: Fraction
+
+    def __post_init__(self):
+        period = 2 if self.kind == "rot" else 1
+        object.__setattr__(self, "param", Fraction(self.param) % period)
+
+    @property
+    def det(self) -> int:
+        return 1 if self.kind == "rot" else -1
+
+    def __str__(self):
+        return f"{self.kind}({self.param})"
+
+
+def element(G, index: int) -> LinearMap:
+    """The linear map of G's element `index`: rotations 0..N-1,
+    reflections N..2N-1."""
+    index %= 2 * G.N
+    if index < G.N:
+        return LinearMap("rot", Fraction(2 * index, G.N))
+    return LinearMap("ref", G.base_axis + Fraction(index - G.N, G.N))
+
+
+def elements(G) -> list:
+    return [element(G, i) for i in range(2 * G.N)]
+
+
+def in_group(G, g: LinearMap) -> bool:
+    if g.kind == "rot":
+        return (g.param * G.N / 2).denominator == 1
+    return ((g.param - G.base_axis) * G.N).denominator == 1
+
+
+def index_of(G, g: LinearMap) -> int:
+    """0..N-1 rotations, N..2N-1 reflections."""
+    if not in_group(G, g):
+        raise PolygonError(f"{g} is not in D_{G.N}")
+    if g.kind == "rot":
+        return int(g.param * G.N / 2) % G.N
+    return G.N + int((g.param - G.base_axis) * G.N) % G.N
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from flatbilliards.covers import (
 from flatbilliards.cyclotomic import embed
 from flatbilliards.polygons import (
     Edge,
-    LinearMap,
     Polygon,
     PolygonError,
     angle_data,
@@ -32,9 +31,13 @@ from flatbilliards.polygons import (
 )
 from flatbilliards.unfolding import unfold
 from reference import (
+    LinearMap,
     apply_motion,
     apply_vec,
     compose,
+    element,
+    elements,
+    index_of,
     minus_id_screen,
     motion_by_reflections,
 )
@@ -259,7 +262,7 @@ def test_rejects_translation_as_adjacency():
 
 def test_rejects_partial_side_sharing():
     sq = square()
-    half_up = (sq.group().index_of(LinearMap("ref", F(1, 2))),
+    half_up = (index_of(sq.group(), LinearMap("ref", F(1, 2))),
                (embed(2), embed(F(1, 2))))
     # a side shared in part is no shared side, so nothing joins the two
     with pytest.raises(CoverError, match="disconnected"):
@@ -339,7 +342,7 @@ def _brute_symmetries(t):
     base = _config_key(t.copy_vertices)
     return [
         gi
-        for gi, g in enumerate(group_of(t.base).elements())
+        for gi, g in enumerate(elements(group_of(t.base)))
         if _config_key([tuple(apply_vec(g, v) for v in verts)
                         for verts in t.copy_vertices])
         == base
@@ -386,7 +389,7 @@ def test_check_cover_runs_no_pairwise_tests(tmp_path, monkeypatch, capsys):
     sq = square()
     words = [[], [1], [2], [3], [0], [3, 2], [3, 0]]
     t = tile_by_words(sq, words)
-    G = group_of(sq).elements()
+    G = elements(group_of(sq))
     outline_key = _config_key([t.outline_points])
     passing = [
         g
@@ -439,7 +442,7 @@ def test_word_motions_match_reflection_chains():
                  for _ in range(25)]
         got = copies_from_words(P, words)
         assert [_copy_key(c) for c in got] == [
-            (G.index_of(m.orth), planar.vkey(m.shift))
+            (index_of(G, m.orth), planar.vkey(m.shift))
             for m in (motion_by_reflections(P, w) for w in words)
         ]
         assert _copy_key(copies_from_words(P, words[-1:])[0]) == _copy_key(
@@ -478,7 +481,7 @@ def test_image_classes_read_from_the_corner_table():
     # group index products and the surface's corner table against
     # composed linear maps and a scan of the classes
     def reference(M_P, h_lin, g_lin, v):
-        gi = M_P.group.index_of(compose(h_lin, g_lin))
+        gi = index_of(M_P.group, compose(h_lin, g_lin))
         face = M_P.faces[gi]
         (pos,) = [q for q in range(M_P.k) if face.source_vertex[q] == v]
         (cls,) = [c for c in M_P.cone_points() if (gi, pos) in c.corners]
@@ -489,11 +492,12 @@ def test_image_classes_read_from_the_corner_table():
         M_P, M_Q = unfold(t.base), unfold(t.outline)
         G = M_P.group
         for face in M_Q.faces:
-            h = G.index_of(face.gmap)
+            gmap = element(M_Q.group, face.index)
+            h = index_of(G, gmap)
             for g in t.indices:
                 for v in range(M_P.k):
                     assert covers._image_class(M_P, h, g, v) == reference(
-                        M_P, face.gmap, G.element(g), v)
+                        M_P, gmap, element(G, g), v)
                     checked += 1
     assert checked > 1000
 
@@ -509,15 +513,16 @@ def test_outline_group_read_as_base_indices():
         M_P, M_Q = a.base_surface, a.cover_surface
         G = M_P.group
         got = covers._subgroup_indices(M_Q.group, G)
-        assert got == [G.index_of(face.gmap) for face in M_Q.faces]
-        assert got == [G.index_of(g) for g in group_of(t.outline).elements()]
+        assert got == [index_of(G, element(M_Q.group, face.index))
+                       for face in M_Q.faces]
+        assert got == [index_of(G, g) for g in elements(group_of(t.outline))]
         shapes.add((M_P.N // M_Q.N, got[M_Q.N] - M_P.N))
         branched = a.branched_classes()
         if len(branched) != 1:
             continue
         single += 1
         cp = M_P.cone_points()[branched[0].class_id]
-        movers = list(group_of(t.outline).elements()) + list(a.H)
+        movers = got + list(a.H)
         fixed = all(M_P.act_on_class(g, cp) == cp for g in movers)
         statuses = {c.class_id: "non_periodic" for c in M_P.cone_points()}
         reasons = appropriate_verdict(a, statuses)["reasons"]

@@ -79,6 +79,29 @@ def test_double_pentagon_two_cylinders_golden_ratio():
     assert cy.is_rational(r) is None
 
 
+def turned_by(P, t):
+    """P turned by pi*t."""
+    return Polygon(
+        [Edge(e.direction.multiple + t, e.length) for e in P.edges])
+
+
+# catalog polygons turned by pi/7, whose lattice base axis is not 0, with
+# a lattice direction (2 n=5) or a bisector of two (4 n=5, 5c) that
+# decomposes
+TURNED_CASES = [
+    (turned_by(make_entry("4", 5).polygon, F(1, 7)), F(1, 7) + F(1, 10)),
+    (turned_by(make_entry("2", 5).polygon, F(1, 7)), F(1, 7) + F(1, 5)),
+    (turned_by(make_entry("5c").polygon, F(1, 7)), F(1, 7) + F(1, 18)),
+]
+
+
+def test_turned_cases_have_a_turned_lattice():
+    # the base axis then enters every lattice read of the flow
+    # (`_corner_modes`, `_Chart.runs_down`)
+    for P, _ in TURNED_CASES:
+        assert unfold(P).group.base_axis != 0
+
+
 def test_area_conservation():
     # a cylinder's area 2*h*c, c read off its bottom boundary, is the
     # shoelace area of its pieces, and the areas sum to the surface's
@@ -89,7 +112,7 @@ def test_area_conservation():
         (make_entry("2", 5).polygon, F(1, 10)),
         (make_entry("5a").polygon, F(0)),
         (make_entry("5c").polygon, F(1, 6)),
-    ]
+    ] + TURNED_CASES
     for P, th in cases:
         M = unfold(P)
         dec = cylinder_decomposition(M, th)
@@ -113,7 +136,7 @@ def test_rotation_equivariance():
         (make_entry("2", 7).polygon, F(1, 14)),
         (make_entry("5c").polygon, F(1, 6)),
         (make_entry("8").polygon, F(1, 4)),
-    ]
+    ] + TURNED_CASES
 
     def key(M, dec):
         cylinders = sorted(

@@ -12,7 +12,7 @@ from flatbilliards.periodicity import classify_point, default_directions
 from flatbilliards import planar
 from flatbilliards.cyclotomic import CyclotomicReal, cos_pi
 from flatbilliards.planar import vkey
-from flatbilliards.polygons import DihedralGroup, Edge, LinearMap, Polygon
+from flatbilliards.polygons import DihedralGroup, Edge, Polygon
 from flatbilliards.search import (
     SearchReport,
     _Node,
@@ -24,7 +24,8 @@ from flatbilliards.search import (
     search_appropriate,
 )
 from flatbilliards.unfolding import unfold
-from reference import (apply_angle, apply_motion, compose, exact_disjoint,
+from reference import (LinearMap, apply_angle, apply_motion, compose,
+                       elements, exact_disjoint, index_of,
                        motion_by_reflections, sat_disjoint)
 
 
@@ -522,7 +523,7 @@ def test_overlap_table_matches_the_direct_test(family, n, K):
         key = (c.lin, c.anchors[0])
         if key not in placed:
             m = motion_by_reflections(P, c.word)
-            assert searcher.G.index_of(m.orth) == c.lin
+            assert index_of(searcher.G, m.orth) == c.lin
             vs = [planar.vadd(p, m.shift) for p in P.row(c.lin)]
             placed[key] = vs, [(float(x), float(y)) for x, y in vs]
         return placed[key]
@@ -642,19 +643,19 @@ def test_integer_group_law(N):
     # the products of D_N read from indices alone, for any base axis
     for base in (F(0), F(1, 3 * N), F(2, 7 * N)):
         G = DihedralGroup(N, base)
-        els = G.elements()
+        els = elements(G)
         assert G.multiplication_table() == [
-            [G.index_of(compose(a, b)) for b in els] for a in els]
+            [index_of(G, compose(a, b)) for b in els] for a in els]
 
 
 def _refl_lin_by_composition(searcher):
     """Reflecting copy g across its side s, composed as linear maps:
     the reflection across the image of side s's direction, after g."""
     return [
-        [searcher.G.index_of(compose(LinearMap("ref", 
+        [index_of(searcher.G, compose(LinearMap("ref", 
             apply_angle(g, e.direction.multiple) % 1), g))
          for e in searcher.P.edges]
-        for g in searcher.G.elements()
+        for g in elements(searcher.G)
     ]
 
 
@@ -744,7 +745,7 @@ def _float_class(searcher, copies):
     mx = sum(x for x, _ in verts) / len(copies)
     my = sum(y for _, y in verts) / len(copies)
     best = None
-    for gi, g in enumerate(searcher.G.elements()):
+    for gi, g in enumerate(elements(searcher.G)):
         th = math.pi * float(g.param) * (1 if g.kind == "rot" else 2)
         a, b = math.cos(th), math.sin(th)
         m = (a, -b, b, a) if g.kind == "rot" else (a, b, b, -a)

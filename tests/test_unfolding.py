@@ -8,15 +8,11 @@ from flatbilliards.catalog import make_entry
 from flatbilliards.cyclotomic import cos_pi, sin_pi, totient
 from flatbilliards.flow import cylinder_decomposition
 from flatbilliards.periodicity import default_directions
-from flatbilliards.polygons import (
-    Edge,
-    LinearMap,
-    Polygon,
-    triangle_from_angles,
-)
+from flatbilliards.polygons import Edge, Polygon, triangle_from_angles
 from flatbilliards.search import _Search, _StatusOracle
 from flatbilliards.unfolding import unfold
-from reference import apply_angle, apply_vec, compose
+from reference import (LinearMap, apply_angle, apply_vec, compose, element,
+                       elements, index_of)
 
 
 def square():
@@ -131,10 +127,10 @@ def test_group_action_commutes_with_pairing():
     for g in M.group.elements()[:6]:
         for (fi, p), (fj, q) in list(M.pairing.items())[:12]:
             s = M.faces[fi].sides[p].source
-            gfi = M.act_on_face(g, fi)
+            gfi = M.group.product(g, fi)
             gp = M.faces[gfi].side_position_of_source(s)
             img = M.pairing[(gfi, gp)]
-            expected_face = M.act_on_face(g, fj)
+            expected_face = M.group.product(g, fj)
             assert img[0] == expected_face
             assert M.faces[img[0]].sides[img[1]].source == s
 
@@ -182,6 +178,26 @@ def test_vertices_are_placed_once_on_first_read(monkeypatch):
     assert len(tables) == 1 + 3 * faces
 
 
+def test_surface_dump_names_each_face_by_its_index():
+    # the dump's face `map` is the linear map of the face's group index,
+    # against the reference conversion; the right isoceles triangle
+    # turned by pi/7 has base axis 1/7, so its reflections carry it
+    turned = Polygon([Edge(F(1, 7), 1), Edge(F(9, 14), 1),
+                      Edge(F(39, 28), 2 * cos_pi(F(1, 4)))])
+    catalog_polygons = [make_entry(f, n).polygon
+                        for f, n in [("2", 5), ("5c", None), ("8", None)]]
+    for P in catalog_polygons + [turned]:
+        M = unfold(P)
+        doc = fileio.surface_to_json(M)
+        assert [face["index"] for face in doc["faces"]] == list(
+            M.group.elements())
+        for face in doc["faces"]:
+            g = element(M.group, face["index"])
+            assert face["map"] == {"kind": g.kind,
+                                   "param": fileio.fraction_to_str(g.param)}
+    assert M.group.base_axis == F(1, 7)  # the turned triangle's surface
+
+
 def test_pairing_and_action_read_the_group_law():
     # face g's copy of side s of P is glued to face g.r_s, and g acts on
     # face h as g.h: both are read from D_N's law on indices.  The
@@ -190,20 +206,20 @@ def test_pairing_and_action_read_the_group_law():
                ("10", None)]
     surfaces = [unfold(make_entry(f, n).polygon) for f, n in entries]
     actions = [
-        [[M.act_on_face(g, fi) for fi in range(len(M.faces))]
+        [[M.group.product(g, fi) for fi in range(len(M.faces))]
          for g in M.group.elements()]
         for M in surfaces
     ]
     for M, action in zip(surfaces, actions):
         G = M.group
         for (fi, p), (fj, _q) in M.pairing.items():
-            g = M.faces[fi].gmap
+            g = element(G, fi)
             e = M.polygon.edges[M.faces[fi].sides[p].source]
             axis = apply_angle(g, e.direction.multiple) % 1
-            assert fj == G.index_of(compose(LinearMap("ref", axis), g))
+            assert fj == index_of(G, compose(LinearMap("ref", axis), g))
         assert action == [
-            [G.index_of(compose(g, f.gmap)) for f in M.faces]
-            for g in G.elements()
+            [index_of(G, compose(g, element(G, f.index))) for f in M.faces]
+            for g in elements(G)
         ]
 
 
@@ -223,11 +239,12 @@ def test_side_directions_read_the_integer_action():
         M = unfold(make_entry(family, n).polygon)
         table = M.group.directions()
         for f in M.faces:
-            assert f.gmap.det == f.det
+            gmap = element(M.group, f.index)
+            assert gmap.det == f.det
             turn = 0 if f.det == 1 else 1
             for side in f.sides:
                 d = M.polygon.edges[side.source].direction.multiple
-                assert side.direction == apply_angle(f.gmap, d + turn)
+                assert side.direction == apply_angle(gmap, d + turn)
                 assert table[side.lattice] == side.direction
                 checked += 1
     assert checked > 1000
@@ -249,7 +266,8 @@ def test_walked_placements_match_the_rotated_reference():
     for P in [make_entry(f, n).polygon for f, n in _CATALOG] + [rectangle]:
         M = unfold(P)
         base = M.polygon.vertices()
-        ref = [tuple(apply_vec(f.gmap, base[j]) for j in f.source_vertex)
+        ref = [tuple(apply_vec(element(M.group, f.index), base[j])
+                     for j in f.source_vertex)
                for f in M.faces]
         for got, want in zip(M.vertices, ref):
             assert all(planar.veq(a, b) for a, b in zip(got, want))
