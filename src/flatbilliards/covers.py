@@ -12,9 +12,14 @@ point.
 A tiling is verified by its outline: once shared sides are mirror
 pairs and the union is connected, a simple counterclockwise outline
 rules out every overlap, so no side or vertex is tested against
-another copy.  Tiling symmetries are screened the same way: a group
-element is tested on the copies only when it maps the outline's edge
-sequence onto a cyclic shift of itself.
+another copy.  Each placed vertex is keyed once (`Tiling.keys`), and
+the outline walk chains the outer sides by their end keys and records
+where on Q each boundary point lies (`Tiling.boundary`): the cover
+analysis reads those keys and places and tests no point against the
+outline.  Tiling symmetries are screened the same way: a group element
+is tested on the copies only when it maps the outline's edge sequence
+onto a cyclic shift of itself, and the test compares keys taken
+relative to the mean of all vertices, so no point is ordered.
 
 Group elements and directions are integers, read by D_N's law
 (`DihedralGroup.product`) and its action on lattice directions
@@ -22,11 +27,11 @@ Group elements and directions are integers, read by D_N's law
 index in G_P and its exact shift, from the word that reaches it to the
 verdict: it is placed as P's row g (`Polygon.row`) plus t, a word is
 chained index by index, and a mirror pair is an index equality plus
-one exact vertex comparison.  The cover's charts are read the same
-way: the corner of base vertex v of copy c, seen from face h of the
-outline's surface, lies on face h.g_c of the base surface, whose corner
-table gives its class, and the outline group's elements are read in
-the base group by one integer formula.  The outline's edge directions,
+one key comparison.  The cover's charts are read the same way: the
+corner of base vertex v of copy c, seen from face h of the outline's
+surface, lies on face h.g_c of the base surface, whose corner table
+gives its class, and the outline group's elements are read in the base
+group by one integer formula.  The outline's edge directions,
 and the symmetry screen over them, are lattice indices.  Exact
 arithmetic is left for walking P's rows, shifting copies, and the
 outline's simplicity and area.  The verdict reads -Id in the outline
@@ -39,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from . import planar
 from .periodicity import classify_point
@@ -93,13 +99,22 @@ def copies_from_words(P: Polygon, words) -> list[tuple]:
 
 @dataclass(frozen=True)
 class Tiling:
-    """A verified tiling of the outline polygon by copies of the base."""
+    """A verified tiling of the outline polygon by copies of the base.
+
+    `keys[c][i]` is the key (`planar.vkey`) of vertex i of copy c, the
+    one place where a tiling's points are keyed.  `boundary` maps the
+    key of each point on the outline to its place: ("vertex", qi) for
+    vertex qi of Q and ("edge", qi) for a point inside edge qi.  A
+    point missing from it is interior to Q.
+    """
 
     base: Polygon
     indices: tuple  # per copy, its group index in G_P
     copy_vertices: tuple  # per copy, placed vertices in base order
+    keys: tuple  # per copy, its vertices' keys in base order
     outline: Polygon  # Q, with vertex 0 at the origin of its own chart
     outline_points: tuple  # plane coordinates of Q's vertices
+    boundary: dict  # key of each outline point -> ("vertex"|"edge", qi)
     chain: tuple  # (copy, copy it was reached from, shared side)
 
     @property
@@ -118,6 +133,10 @@ def verify_tiling(P: Polygon, copies) -> Tiling:
     disconnected union, or an outline that is pinched, has a hole, or is
     not a simple counterclockwise polygon (a pinch may also come from
     overlapping copies).
+
+    Each placed vertex is keyed once; the duplicate test, the side
+    table, the mirror test and the outline walk compare keys, and the
+    walk records each boundary point's place on Q (`Tiling.boundary`).
 
     No side or vertex is tested against another copy: these checks
     already rule out every overlap, crossing, T-junction and partial
@@ -143,29 +162,25 @@ def verify_tiling(P: Polygon, copies) -> Tiling:
                 f"group index {g} is outside 0..{2 * G_P.N - 1}, the base "
                 f"polygon's reflection group D_{G_P.N}"
             )
-    copy_vertices = [tuple(planar.vadd(p, t) for p in P.row(g))
-                     for g, t in copies]
+    copy_vertices = tuple(tuple(planar.vadd(p, t) for p in P.row(g))
+                          for g, t in copies)
+    keys = tuple(tuple(planar.vkey(v) for v in verts)
+                 for verts in copy_vertices)
     k = len(P.edges)
 
     # duplicate copies
-    seen_sets = set()
-    for verts in copy_vertices:
-        key = frozenset(planar.vkey(v) for v in verts)
-        if key in seen_sets:
-            raise CoverError("two copies coincide")
-        seen_sets.add(key)
+    if len(set(map(frozenset, keys))) != len(keys):
+        raise CoverError("two copies coincide")
 
     # classify sides by their (unordered) endpoint pair
     sides = {}  # frozenset of endpoint keys -> [(copy, side)]
-    for c, verts in enumerate(copy_vertices):
+    for c, ck in enumerate(keys):
         for s in range(k):
-            key = frozenset(
-                (planar.vkey(verts[s]), planar.vkey(verts[(s + 1) % k]))
-            )
-            sides.setdefault(key, []).append((c, s))
+            sides.setdefault(frozenset((ck[s], ck[(s + 1) % k])), []).append(
+                (c, s))
     internal_pairs = []
     external = []
-    for key, owners in sides.items():
+    for owners in sides.values():
         if len(owners) > 2:
             raise CoverError("a side is shared by more than two copies")
         if len(owners) == 2:
@@ -182,9 +197,8 @@ def verify_tiling(P: Polygon, copies) -> Tiling:
     # the image of one point
     r = side_reflections(P, G_P)
     for ci, si, cj in internal_pairs:
-        if indices[cj] != G_P.product(indices[ci], r[si]) or not planar.veq(
-            copy_vertices[ci][si], copy_vertices[cj][si]
-        ):
+        if (indices[cj] != G_P.product(indices[ci], r[si])
+                or keys[ci][si] != keys[cj][si]):
             raise CoverError(
                 "adjacent copies are not mirror images across their "
                 "shared side"
@@ -205,25 +219,24 @@ def verify_tiling(P: Polygon, copies) -> Tiling:
     if len(chain) != len(copies):
         raise CoverError("union of copies is disconnected")
 
-    # chain the external sides counterclockwise into the outline; a
-    # side's direction is its lattice index in G_P, moved by the copy's
-    # group index, and a reflected copy runs its side backwards
+    # chain the external sides counterclockwise into the outline by
+    # their end keys; a side's direction is its lattice index in G_P,
+    # moved by the copy's group index, and a reflected copy runs its
+    # side backwards
     N = G_P.N
     edge_dirs = edge_directions(P, G_P)
-    directed = {}
+    directed = {}  # start key -> (start key, point, end key, dir, length)
     for c, s in external:
-        verts = copy_vertices[c]
-        a, b = verts[s], verts[(s + 1) % k]
-        d = edge_dirs[s]
+        a, b, d = s, (s + 1) % k, edge_dirs[s]
         if indices[c] >= N:
             a, b = b, a
             d += N
         d = G_P.act_on_direction(indices[c], d)
-        key = planar.vkey(a)
-        if key in directed:
+        if keys[c][a] in directed:
             raise CoverError("copies overlap or the union touches itself: "
                              "outline is pinched at a point")
-        directed[key] = (a, b, d, P.edges[s].length)
+        directed[keys[c][a]] = (keys[c][a], copy_vertices[c][a], keys[c][b],
+                                d, P.edges[s].length)
     start_key = next(iter(directed))
     cycle = []
     key = start_key
@@ -232,7 +245,7 @@ def verify_tiling(P: Polygon, copies) -> Tiling:
         if rec is None:
             raise CoverError("outline does not close into one cycle")
         cycle.append(rec)
-        key = planar.vkey(rec[1])
+        key = rec[2]
         if key == start_key:
             break
     if directed:
@@ -240,26 +253,26 @@ def verify_tiling(P: Polygon, copies) -> Tiling:
             "union of copies has a hole or touches itself"
         )
 
-    # merge collinear runs (interior straight points of the outline)
+    # merge collinear runs: a run's first start is a vertex of Q, and
+    # its later starts lie inside that edge
     rot = 0
-    while cycle[rot][2] == cycle[rot - 1][2]:
+    while cycle[rot][3] == cycle[rot - 1][3]:
         rot += 1
         if rot == len(cycle):
             raise CoverError("outline is degenerate")
     cycle = cycle[rot:] + cycle[:rot]
     table = G_P.directions()
-    edges = []
-    points = []
-    i = 0
-    while i < len(cycle):
-        a, _, d, length = cycle[i]
-        j = i + 1
-        while j < len(cycle) and cycle[j][2] == d:
-            length = length + cycle[j][3]
-            j += 1
-        edges.append(Edge(table[d], length))
-        points.append(a)
-        i = j
+    dirs, lengths, points, boundary = [], [], [], {}
+    for key, a, _, d, length in cycle:
+        if dirs and dirs[-1] == d:
+            boundary[key] = ("edge", len(dirs) - 1)
+            lengths[-1] = lengths[-1] + length
+        else:
+            boundary[key] = ("vertex", len(dirs))
+            dirs.append(d)
+            lengths.append(length)
+            points.append(a)
+    edges = [Edge(table[d], length) for d, length in zip(dirs, lengths)]
     try:
         outline = Polygon(edges)
     except PolygonError as exc:
@@ -276,9 +289,11 @@ def verify_tiling(P: Polygon, copies) -> Tiling:
     return Tiling(
         base=P,
         indices=indices,
-        copy_vertices=tuple(copy_vertices),
+        copy_vertices=copy_vertices,
+        keys=keys,
         outline=outline,
         outline_points=tuple(points),
+        boundary=boundary,
         chain=tuple(chain),
     )
 
@@ -350,22 +365,16 @@ def _subgroup_indices(G_Q, G_P) -> list[int]:
     return rotations + [N_P + (off + x) % N_P for x in rotations]
 
 
-def _lexmin_point(points):
-    best = None
-    for p in points:
-        if best is None:
-            best = p
-            continue
-        dx = (p[0] - best[0]).sign()
-        if dx < 0 or (dx == 0 and (p[1] - best[1]).sign() < 0):
-            best = p
-    return best
-
-
 def _config_key(copy_vertices):
-    anchor = _lexmin_point([v for verts in copy_vertices for v in verts])
+    """A key of a configuration of copies that ignores translation: each
+    copy's vertex set, keyed relative to the mean of all vertices.  A
+    translation moves the mean with the copies, so two configurations
+    of the same copy and vertex counts have equal keys exactly when one
+    is a translate of the other."""
+    flat = [v for verts in copy_vertices for v in verts]
+    mean = planar.vscale(reduce(planar.vadd, flat), Fraction(1, len(flat)))
     return frozenset(
-        frozenset(planar.vkey(planar.vsub(v, anchor)) for v in verts)
+        frozenset(planar.vkey(planar.vsub(v, mean)) for v in verts)
         for verts in copy_vertices
     )
 
@@ -413,7 +422,11 @@ def tiling_symmetries(t: Tiling) -> list:
 
 def analyze_cover(t: Tiling) -> CoverAnalysis:
     """Covering data of the cover of unfolded surfaces induced by a
-    tiling, with every count cross-checked exactly."""
+    tiling, with every count cross-checked exactly.
+
+    The tiling's points are its vertex keys, and each point's place (in
+    Q, inside edge qi or at vertex qi) is read from `t.boundary` and
+    must agree with the point's angle sum."""
     P, Q = t.base, t.outline
     G_P = P.group()
     try:
@@ -435,15 +448,9 @@ def analyze_cover(t: Tiling) -> CoverAnalysis:
 
     # census of tiling points (all placed copy vertices)
     points = {}
-    for c, verts in enumerate(t.copy_vertices):
-        for i, pt in enumerate(verts):
-            rec = points.setdefault(
-                planar.vkey(pt), {"pt": pt, "corners": []}
-            )
-            rec["corners"].append((c, i))
-    outline_index = {
-        planar.vkey(p): qi for qi, p in enumerate(t.outline_points)
-    }
+    for c, ck in enumerate(t.keys):
+        for i, key in enumerate(ck):
+            points.setdefault(key, []).append((c, i))
 
     # face fi of M_Q, with group element h, sees copy c on face h.g_c
     h_index = _subgroup_indices(M_Q.group, M_P.group)
@@ -456,55 +463,45 @@ def analyze_cover(t: Tiling) -> CoverAnalysis:
         for cp in M_P.cone_points()
     }
 
-    for key, rec in points.items():
-        sources = {i for _, i in rec["corners"]}
+    for key, corners in points.items():
+        sources = {i for _, i in corners}
         if len(sources) != 1:
             raise CoverError(
                 "corners of different base vertices meet at one point"
             )
         v = sources.pop()
-        kk = len(rec["corners"])
+        kk = len(corners)
         sigma = kk * angles[v].multiple
+        # the outline walk placed the point; its angle sum must agree:
+        # 2 inside Q, 1 inside an edge, anything else at a vertex
+        where, qi = t.boundary.get(key, ("interior", None))
+        if where != {2: "interior", 1: "edge"}.get(sigma, "vertex"):
+            raise CoverError(
+                f"corner angle sum {sigma} (units of pi) does not fit the "
+                f"point's place: outline {where}"
+            )
         # each case gives the groups of M_Q's faces that share one
         # preimage of the point, and that preimage's ramification e
-        if sigma == 2:
-            # interior point of Q: one unbranched preimage per face
-            where, e = "interior", 1
+        e = 1
+        if where == "interior":
+            # one unbranched preimage per face
             groups = [[face.index] for face in M_Q.faces]
-        elif sigma == 1:
-            # interior point of an outline edge: faces identify in pairs
-            eq = None
-            for qi in range(len(Q.edges)):
-                a = t.outline_points[qi]
-                b = t.outline_points[(qi + 1) % len(Q.edges)]
-                if planar.on_segment(rec["pt"], a, b):
-                    eq = qi
-                    break
-            if eq is None:
-                raise CoverError(
-                    "half-angle point off the outline boundary"
-                )  # pragma: no cover
-            where, e = "edge", 1
+        elif where == "edge":
+            # faces identify in pairs across edge qi
             groups = list(dict.fromkeys(
                 frozenset((face.index, M_Q.pairing[
-                    (face.index, face.side_position_of_source(eq))][0]))
+                    (face.index, face.side_position_of_source(qi))][0]))
                 for face in M_Q.faces
             ))
         else:
-            qi = outline_index.get(key)
-            if qi is None:
-                raise CoverError(
-                    "corner angle sum is neither a vertex of the outline "
-                    "nor a flat completion"
-                )
-            where, e = "vertex", kk // math.gcd(kk, angles[v].denominator)
+            e = kk // math.gcd(kk, angles[v].denominator)
             groups = [[fi for fi, _ in cls.corners]
                       for cls in M_Q.classes_for_source_vertex(qi)]
         # every face of a group sees every corner at the point in one
         # class of M_P, the image of that preimage
         for group in groups:
             images = {image_class_id(fi, c, v)
-                      for fi in group for c, _ in rec["corners"]}
+                      for fi in group for c, _ in corners}
             if len(images) != 1:
                 raise CoverError(f"cover chart mismatch ({where})")
             data = per_class[images.pop()]

@@ -40,10 +40,6 @@ class RationalAngle:
         object.__setattr__(self, "multiple", Fraction(self.multiple))
 
     @property
-    def numerator(self) -> int:
-        return self.multiple.numerator
-
-    @property
     def denominator(self) -> int:
         return self.multiple.denominator
 
@@ -55,18 +51,6 @@ class RationalAngle:
 
     def normalized(self, period: int = 2) -> "RationalAngle":
         return RationalAngle(self.multiple % period)
-
-    def __add__(self, other):
-        return RationalAngle(self.multiple + _angle_value(other))
-
-    def __sub__(self, other):
-        return RationalAngle(self.multiple - _angle_value(other))
-
-    def __neg__(self):
-        return RationalAngle(-self.multiple)
-
-    def __str__(self):
-        return f"{self.multiple}*pi"
 
 
 def _angle_value(a) -> Fraction:

@@ -6,17 +6,21 @@ action, chains copies (g, t) by the group law, places vertices by
 walking along P's sides, decides whether two copies overlap by the sign
 of integer maps on packed coordinates, reduces mod Phi_n by one long
 division, builds each exact sum, difference, negation and product once
-in its stored form, reads -Id in the outline group off the parity of N
-and glues cylinder pieces by the partner keys its chart records.  The
-references here name an element as a linear map (`LinearMap`, with
-`element`, `elements`, `in_group` and `index_of` between maps and
-indices), compose linear maps and motions, move directions by their
-angle formulas, rotate and reflect vectors, chain a word's copies as
+in its stored form, reads -Id in the outline group off the parity of N,
+glues cylinder pieces by the partner keys its chart records, places a
+tiling's points where its outline walk found them and anchors a
+translation-free key at the mean of the vertices.  The references here
+name an element as a linear map (`LinearMap`, with `element`,
+`elements`, `in_group` and `index_of` between maps and indices),
+compose linear maps and motions, move directions by their angle
+formulas, rotate and reflect vectors, chain a word's copies as
 reflections across lines, separate convex polygons by their sides,
 reduce through dense rows, do exact arithmetic through the public
-constructor (a difference as a + (-b)), screen -Id by pairs of sides
-and key a side point's partner by translating the point, the way the
-program once did, so tests can compare the two.
+constructor (a difference as a + (-b)), screen -Id by pairs of sides,
+key a side point's partner by translating the point, place a tiling's
+points on its outline by matching outline vertices and testing points
+on its edges, and anchor a translation-free key at the least vertex,
+the way the program once did, so tests can compare the two.
 """
 
 import math
@@ -303,3 +307,44 @@ def partner_key(chart, side, end):
     moved by the side's gluing translation and keyed at the chart
     conductor."""
     return flow._key(planar.vadd(end, chart.tau[side]), chart.n)
+
+
+def boundary_places(t):
+    """Where each placed point of a tiling lies on its outline, by the
+    rule the cover analysis once ran: a point equal to outline vertex qi
+    is ("vertex", qi), else a point on the closed outline edge qi is
+    ("edge", qi).  A point on neither is inside Q and left out."""
+    points = t.outline_points
+    E = len(points)
+    out = {}
+    for verts in t.copy_vertices:
+        for p in verts:
+            key = planar.vkey(p)
+            for qi, q in enumerate(points):
+                if planar.veq(p, q):
+                    out[key] = ("vertex", qi)
+                    break
+            else:
+                for qi in range(E):
+                    if planar.on_segment(p, points[qi], points[(qi + 1) % E]):
+                        out[key] = ("edge", qi)
+                        break
+    return out
+
+
+def lexmin_config_key(copy_vertices):
+    """A configuration's key up to translation, anchored at its
+    lexicographically least vertex, which exact signs find."""
+    anchor = None
+    for verts in copy_vertices:
+        for p in verts:
+            if anchor is None:
+                anchor = p
+                continue
+            dx = (p[0] - anchor[0]).sign()
+            if dx < 0 or (dx == 0 and (p[1] - anchor[1]).sign() < 0):
+                anchor = p
+    return frozenset(
+        frozenset(planar.vkey(planar.vsub(v, anchor)) for v in verts)
+        for verts in copy_vertices
+    )

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import random
@@ -34,10 +35,12 @@ from reference import (
     LinearMap,
     apply_motion,
     apply_vec,
+    boundary_places,
     compose,
     element,
     elements,
     index_of,
+    lexmin_config_key,
     minus_id_screen,
     motion_by_reflections,
 )
@@ -354,31 +357,134 @@ SOUNDNESS_BASES = [
 ]
 
 
-def test_outline_argument_agrees_with_the_pairwise_rule():
-    # the family 8 base has a reflex corner; every tiling below is
-    # connected through mirror-shared sides, and many overlap
+@functools.lru_cache(maxsize=None)
+def _soundness_trials():
+    """Grown words over SOUNDNESS_BASES: per trial the base, the words,
+    and the verified tiling or the CoverError that refused it."""
     rng = random.Random(14)
-    accepted = outline_refusals = 0
+    out = []
     for family, n in SOUNDNESS_BASES:
         P = make_entry(family, n).polygon
         for _ in range(8):
             words = _grown_words(P, rng, rng.randint(1, 9))
-            # the pairwise rule places copies by reflections across lines
-            motions = [motion_by_reflections(P, w) for w in words]
             try:
                 t = verify_tiling(P, copies_from_words(P, words))
             except CoverError as exc:
-                if "copies overlap or cross" in str(exc):
-                    # refusals that the pairwise rule gave before
-                    outline_refusals += 1
-                    assert _reference_pairwise_refusal(P, motions)
-                continue
-            # accepted, so the pairwise rule passes: every tiling it
-            # refuses is refused
-            accepted += 1
-            assert _reference_pairwise_refusal(P, motions) is None
-            assert tiling_symmetries(t) == _brute_symmetries(t)
+                t = exc
+            out.append((P, words, t))
+    return tuple(out)
+
+
+def test_outline_argument_agrees_with_the_pairwise_rule():
+    # the family 8 base has a reflex corner; every tiling below is
+    # connected through mirror-shared sides, and many overlap
+    accepted = outline_refusals = 0
+    for P, words, t in _soundness_trials():
+        # the pairwise rule places copies by reflections across lines
+        motions = [motion_by_reflections(P, w) for w in words]
+        if isinstance(t, CoverError):
+            if "copies overlap or cross" in str(t):
+                # refusals that the pairwise rule gave before
+                outline_refusals += 1
+                assert _reference_pairwise_refusal(P, motions)
+            continue
+        # accepted, so the pairwise rule passes: every tiling it
+        # refuses is refused
+        accepted += 1
+        assert _reference_pairwise_refusal(P, motions) is None
+        assert tiling_symmetries(t) == _brute_symmetries(t)
     assert accepted >= 30 and outline_refusals >= 5
+
+
+def _keyed_tilings():
+    """The accepted soundness tilings (six bases, one with a reflex
+    corner) and the tilings of the benchmark's valid check-cover
+    requests, in that order."""
+    for _, _, t in _soundness_trials():
+        if not isinstance(t, CoverError):
+            yield t
+    for a in _benchmark_analyses():
+        yield a.tiling
+
+
+def test_outline_walk_places_points_as_the_vertex_and_segment_rule():
+    # the walk's place for every point on the outline against matching
+    # the outline's vertices and then testing points on its edges; a
+    # point the walk did not place is inside Q by both rules
+    seen = set()
+    for t in _keyed_tilings():
+        assert t.boundary == boundary_places(t)
+        assert set(t.boundary) <= {key for ck in t.keys for key in ck}
+        seen.update(where for where, _ in t.boundary.values())
+    assert seen == {"vertex", "edge"}
+
+
+def test_mean_anchored_key_agrees_with_the_least_vertex_key():
+    # equal keys exactly when the reference keys are equal: for a
+    # configuration and its exact translate, its image under each base
+    # group element, and the next tiling of the list
+    tilings = list(_keyed_tilings())
+    equal_images = 0
+    for t, other in zip(tilings, tilings[1:] + tilings[:1]):
+        shift = planar.vadd(t.outline_points[-1], (embed(F(3, 7)), embed(2)))
+        pairs = [
+            [tuple(planar.vadd(v, shift) for v in verts)
+             for verts in t.copy_vertices],
+            other.copy_vertices,
+        ] + [
+            [tuple(apply_vec(g, v) for v in verts)
+             for verts in t.copy_vertices]
+            for g in elements(group_of(t.base))[1:]
+        ]
+        base, ref = _config_key(t.copy_vertices), lexmin_config_key(
+            t.copy_vertices)
+        for i, moved in enumerate(pairs):
+            same = _config_key(moved) == base
+            assert same == (lexmin_config_key(moved) == ref)
+            if i == 0:
+                assert same
+            equal_images += same and i > 1
+    assert equal_images >= 40
+
+
+def test_verify_tiling_keys_each_vertex_once(monkeypatch):
+    # one planar.vkey call per placed vertex, and none again for the
+    # side table, the mirror test or the outline walk
+    calls, key = [], planar.vkey
+
+    def counted(v):
+        calls.append(v)
+        return key(v)
+
+    monkeypatch.setattr(planar, "vkey", counted)
+    for t in [t for _, t in corpus()] + list(_keyed_tilings())[:10]:
+        calls.clear()
+        again = verify_tiling(t.base, zip(t.indices, (
+            planar.vsub(verts[0], t.base.row(g)[0])
+            for g, verts in zip(t.indices, t.copy_vertices))))
+        assert len(calls) == t.n_copies * len(t.base.edges)
+        assert again.keys == t.keys and again.boundary == t.boundary
+
+
+def test_a_place_that_contradicts_the_angle_sum_is_refused():
+    # a tampered boundary table: an edge point read as inside Q, and a
+    # vertex of Q read as inside an edge
+    t = tile_by_words(square(), [[], [0], [1], [1, 0]])
+    edge_key = next(k for k, (where, _) in t.boundary.items()
+                    if where == "edge")
+    vertex_key, (_, qi) = next((k, p) for k, p in t.boundary.items()
+                               if p[0] == "vertex")
+    dropped = {k: p for k, p in t.boundary.items() if k != edge_key}
+    with pytest.raises(CoverError, match=r"corner angle sum 1 \(units of "
+                       r"pi\) does not fit the point's place: outline "
+                       r"interior"):
+        analyze_cover(dataclasses.replace(t, boundary=dropped))
+    relabelled = dict(t.boundary)
+    relabelled[vertex_key] = ("edge", qi)
+    with pytest.raises(CoverError, match=r"corner angle sum 1/2 .* outline "
+                       r"edge"):
+        analyze_cover(dataclasses.replace(t, boundary=relabelled))
+    analyze_cover(t)
 
 
 def test_check_cover_runs_no_pairwise_tests(tmp_path, monkeypatch, capsys):
